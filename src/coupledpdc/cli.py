@@ -98,14 +98,14 @@ COLUMN_DOCS = {
               "failed extractions leave their columns empty",
 }
 
-# canonical parameter sets used throughout the docs and tests
+# canonical parameter sets used throughout the docs and tests; figures 4
+# and 6 plot other columns of the fig2 sweep, so they are aliases of it
+_FIG2 = dict(kind="length", gamma1=0.1, gamma2=0.3, kappa=3.0,
+             start=0.01, stop=20.0, steps=2000)
 PRESETS = {
-    "fig2": dict(kind="length", gamma1=0.1, gamma2=0.3, kappa=3.0,
-                 start=0.01, stop=20.0, steps=2000),
-    "fig4": dict(kind="length", gamma1=0.1, gamma2=0.3, kappa=3.0,
-                 start=0.01, stop=20.0, steps=2000),
-    "fig6": dict(kind="length", gamma1=0.1, gamma2=0.3, kappa=3.0,
-                 start=0.01, stop=20.0, steps=2000),
+    "fig2": _FIG2,
+    "fig4": _FIG2,
+    "fig6": _FIG2,
     "fig7": dict(kind="psi", r1=0.1, r2=0.1,
                  start=0.0, stop=math.pi / 2, steps=100),
 }
@@ -356,44 +356,29 @@ def _fill_preset(args, wanted_kind: str) -> dict:
     return merged
 
 
-def _cmd_sweep_length(args) -> int:
+def _cmd_sweep(args, kind: str) -> int:
+    columns = LENGTH_COLUMNS if kind == "length" else PSI_COLUMNS
     if args.describe_columns:
-        sys.stdout.write(_describe(LENGTH_COLUMNS))
+        sys.stdout.write(_describe(columns))
         return EXIT_OK
-    merged = _fill_preset(args, "length")
+    merged = _fill_preset(args, kind)
     try:
-        dev = ContinuousDevice(merged["gamma1"], merged["gamma2"],
-                               merged["kappa"], 0.0)
-        cfg = SweepConfig(kind="length", device=dev,
+        if kind == "length":
+            dev = ContinuousDevice(merged["gamma1"], merged["gamma2"],
+                                   merged["kappa"], 0.0)
+        else:
+            dev = CascadedDevice(merged["r1"], merged["r2"], 0.0)
+            merged.setdefault("start", 0.0)
+            merged.setdefault("stop", math.pi / 2)
+        cfg = SweepConfig(kind=kind, device=dev,
                           start=merged["start"], stop=merged["stop"],
                           steps=int(merged["steps"]), out=args.out,
-                          columns=_parse_columns(args, LENGTH_COLUMNS))
+                          columns=_parse_columns(args, columns))
     except (KeyError, ValueError, TypeError) as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = sweep_length_rows(cfg)
-    _write(render_csv(LENGTH_COLUMNS, rows, cfg.columns), cfg.out)
-    return EXIT_OK
-
-
-def _cmd_sweep_psi(args) -> int:
-    if args.describe_columns:
-        sys.stdout.write(_describe(PSI_COLUMNS))
-        return EXIT_OK
-    merged = _fill_preset(args, "psi")
-    merged.setdefault("start", 0.0)
-    merged.setdefault("stop", math.pi / 2)
-    try:
-        dev = CascadedDevice(merged["r1"], merged["r2"], 0.0)
-        cfg = SweepConfig(kind="psi", device=dev,
-                          start=merged["start"], stop=merged["stop"],
-                          steps=int(merged["steps"]), out=args.out,
-                          columns=_parse_columns(args, PSI_COLUMNS))
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"invalid sweep configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    rows = sweep_psi_rows(cfg)
-    _write(render_csv(PSI_COLUMNS, rows, cfg.columns), cfg.out)
+    rows = (sweep_length_rows if kind == "length" else sweep_psi_rows)(cfg)
+    _write(render_csv(columns, rows, cfg.columns), cfg.out)
     return EXIT_OK
 
 
@@ -407,22 +392,60 @@ def _parse_columns(args, known: Sequence[str]) -> Optional[Sequence[str]]:
     return wanted
 
 
+@dataclass(frozen=True)
+class OracleDeviation:
+    """Transfer-matrix vs number-basis deviations; ``dgamma`` is ``None``
+    where the coherence is undefined."""
+
+    dintensity: float
+    dgamma: Optional[float]
+    leakage: float
+
+    def fields(self) -> str:
+        gamma_note = ("gamma=undefined (skipped)" if self.dgamma is None
+                      else f"dgamma={self.dgamma:.3e}")
+        return (f"dintensity={self.dintensity:.3e} {gamma_note} "
+                f"leakage={self.leakage:.3e}")
+
+
+def oracle_deviation(dev: ContinuousDevice, basis: FockBasis) -> OracleDeviation:
+    """Compare ``dev``'s intensities and coherence on both routes; raises
+    :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff."""
+    tm = transfer_matrix(dev)
+    inten = mom.intensities(tm)
+    state = evolve(dev, basis)
+    n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
+    dint = max(abs(n_s1 - inten.s1), abs(n_s2 - inten.s2),
+               abs(n_i1 - inten.i1), abs(n_i2 - inten.i2))
+    try:
+        obs = fock_observables(state)
+        dgamma = abs(obs.coherence.gamma - mom.signal_coherence(tm).gamma)
+    except UndefinedCoherenceError:
+        dgamma = None
+    return OracleDeviation(dint, dgamma, state.leakage)
+
+
+def _oracle_applies(dev, command: str) -> bool:
+    """Whether the number-basis oracle can follow ``dev``; if not, say why."""
+    if isinstance(dev, CascadedDevice):
+        print(f"{command} needs a continuous device; the number basis does "
+              "not model the cascade", file=sys.stderr)
+        return False
+    regime = classify_regime(dev)
+    if regime is not Regime.BELOW_THRESHOLD:
+        print(f"{command} requires a below-threshold device (the truncated "
+              f"basis cannot follow exponential growth); got {regime.value}",
+              file=sys.stderr)
+    return regime is Regime.BELOW_THRESHOLD
+
+
 def _cmd_oracle_check(args) -> int:
-    merged_args = dict(gamma1=args.gamma1, gamma2=args.gamma2,
-                       kappa=args.kappa)
-    if args.preset:
-        preset = PRESETS[args.preset]
-        if preset["kind"] != "length":
-            print(f"preset {args.preset!r} does not configure a continuous "
-                  "device", file=sys.stderr)
-            return EXIT_USAGE
-        for key in ("gamma1", "gamma2", "kappa"):
-            if merged_args[key] is None:
-                merged_args[key] = preset[key]
-    if any(v is None for v in merged_args.values()):
+    merged = _fill_preset(args, "length")
+    if any(key not in merged for key in ("gamma1", "gamma2", "kappa")):
         print("oracle-check needs --gamma1/--gamma2/--kappa or a preset",
               file=sys.stderr)
         return EXIT_USAGE
+    merged_args = {key: merged[key] for key in ("gamma1", "gamma2", "kappa")}
     try:
         lengths = [float(tok) for tok in args.points.split(",") if tok.strip()]
     except ValueError:
@@ -433,10 +456,7 @@ def _cmd_oracle_check(args) -> int:
         return EXIT_USAGE
 
     probe = ContinuousDevice(**merged_args, length=0.0)
-    if classify_regime(probe) is not Regime.BELOW_THRESHOLD:
-        print("oracle-check requires a below-threshold device (the "
-              "truncated basis cannot follow exponential growth); got "
-              f"{classify_regime(probe).value}", file=sys.stderr)
+    if not _oracle_applies(probe, "oracle-check"):
         return EXIT_USAGE
 
     basis = FockBasis.build(args.nmax)
@@ -444,30 +464,16 @@ def _cmd_oracle_check(args) -> int:
     worst_gamma = 0.0
     worst_leak = 0.0
     for length in lengths:
-        dev = ContinuousDevice(**merged_args, length=length)
-        tm = transfer_matrix(dev)
-        inten = mom.intensities(tm)
         try:
-            state = evolve(dev, basis)
+            deviation = oracle_deviation(
+                ContinuousDevice(**merged_args, length=length), basis)
         except TruncationLeakageError as exc:
             print(f"L={_fmt(length)}: {exc}", file=sys.stderr)
             return EXIT_LEAKAGE
-        n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
-        dint = max(abs(n_s1 - inten.s1), abs(n_s2 - inten.s2),
-                   abs(n_i1 - inten.i1), abs(n_i2 - inten.i2))
-        try:
-            obs = fock_observables(state)
-            gauss = mom.signal_coherence(tm)
-            dgamma = abs(obs.coherence.gamma - gauss.gamma)
-            gamma_note = f"dgamma={dgamma:.3e}"
-        except UndefinedCoherenceError:
-            dgamma = 0.0
-            gamma_note = "gamma=undefined (skipped)"
-        worst_intensity = max(worst_intensity, dint)
-        worst_gamma = max(worst_gamma, dgamma)
-        worst_leak = max(worst_leak, state.leakage)
-        print(f"L={_fmt(length)} dintensity={dint:.3e} {gamma_note} "
-              f"leakage={state.leakage:.3e}")
+        worst_intensity = max(worst_intensity, deviation.dintensity)
+        worst_gamma = max(worst_gamma, deviation.dgamma or 0.0)
+        worst_leak = max(worst_leak, deviation.leakage)
+        print(f"L={_fmt(length)} {deviation.fields()}")
     print(f"max intensity deviation: {worst_intensity:.3e}")
     print(f"max gamma deviation:     {worst_gamma:.3e}")
     print(f"max leakage proxy:       {worst_leak:.3e}")
@@ -492,20 +498,24 @@ def _cmd_decompose(args) -> int:
             dev = ContinuousDevice(args.gamma1 or 0.0, args.gamma2 or 0.0,
                                    args.kappa or 0.0, args.length or 0.0)
             tm = transfer_matrix(dev)
-            print(f"device=continuous gamma1={_fmt(dev.gamma1)} "
-                  f"gamma2={_fmt(dev.gamma2)} kappa={_fmt(dev.kappa)} "
-                  f"length={_fmt(dev.length)}")
-            print(f"regime={classify_regime(dev).value}")
         else:
             dev = CascadedDevice(args.r1 or 0.0, args.r2 or 0.0,
                                  args.psi or 0.0)
             tm = cascaded_transfer_matrix(dev)
-            print(f"device=cascaded r1={_fmt(dev.r1)} r2={_fmt(dev.r2)} "
-                  f"psi={_fmt(dev.psi)}")
     except ValueError as exc:
         print(f"invalid device: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
+    if args.nmax > 0 and not _oracle_applies(dev, "decompose --nmax"):
+        return EXIT_USAGE
+    basis = FockBasis.build(args.nmax) if args.nmax > 0 else None
+    if continuous:
+        print(f"device=continuous gamma1={_fmt(dev.gamma1)} "
+              f"gamma2={_fmt(dev.gamma2)} kappa={_fmt(dev.kappa)} "
+              f"length={_fmt(dev.length)}")
+        print(f"regime={classify_regime(dev).value}")
+    else:
+        print(f"device=cascaded r1={_fmt(dev.r1)} r2={_fmt(dev.r2)} "
+              f"psi={_fmt(dev.psi)}")
     inten = mom.intensities(tm)
     print(f"n_s1={_fmt(inten.s1)} n_s2={_fmt(inten.s2)} "
           f"n_i1={_fmt(inten.i1)} n_i2={_fmt(inten.i2)}")
@@ -541,6 +551,13 @@ def _cmd_decompose(args) -> int:
               f"fallback={int(ou.fallback_used)}")
     except PdcModelError as exc:
         print(f"interferometer extraction failed: {_tag(exc)}")
+    if basis is not None:
+        try:
+            deviation = oracle_deviation(dev, basis)
+        except TruncationLeakageError as exc:
+            print(f"nmax={args.nmax}: {exc}", file=sys.stderr)
+            return EXIT_LEAKAGE
+        print(f"nmax={args.nmax} {deviation.fields()}")
     return EXIT_OK
 
 
@@ -552,8 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on usage problems; fold into our code
         return EXIT_USAGE if exc.code else EXIT_OK
     handlers: dict[str, Callable] = {
-        "sweep-length": _cmd_sweep_length,
-        "sweep-psi": _cmd_sweep_psi,
+        "sweep-length": lambda a: _cmd_sweep(a, "length"),
+        "sweep-psi": lambda a: _cmd_sweep(a, "psi"),
         "oracle-check": _cmd_oracle_check,
         "decompose": _cmd_decompose,
     }

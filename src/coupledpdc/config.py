@@ -12,7 +12,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # dense linear algebra
-    expm_dim_cap: int = 4096          # largest matrix expm will accept
     condition_cap: float = 1e12       # inverse() refuses beyond this estimate
     inverse_identity: float = 1e-10   # |inv(a)@a - I| element-wise, 4x4
 

@@ -175,7 +175,7 @@ def build_hamiltonian(dev: ContinuousDevice) -> np.ndarray:
 def transfer_matrix(dev: ContinuousDevice, tol: Tolerances = TOL) -> TransferMatrix:
     """Transfer matrix ``M = exp(i H L)`` of the continuous device."""
     h = build_hamiltonian(dev)
-    return TransferMatrix(expm(1j * h * dev.length, tol), tol=tol)
+    return TransferMatrix(expm(1j * h * dev.length), tol=tol)
 
 
 def cascaded_transfer_matrix(dev: CascadedDevice, tol: Tolerances = TOL) -> TransferMatrix:

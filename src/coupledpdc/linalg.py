@@ -2,9 +2,7 @@
 
 Everything here operates on plain ``numpy.ndarray`` values with
 ``complex128`` entries and returns fresh arrays; inputs are never mutated.
-The matrix exponential is the workhorse: it serves both the 4x4 transfer
-matrices and the much larger truncated number-basis generator through the
-same entry point.
+The matrix exponential is the workhorse behind the 4x4 transfer matrices.
 """
 
 from __future__ import annotations
@@ -34,20 +32,14 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
-def expm(a, tol: Tolerances = TOL) -> np.ndarray:
+def expm(a) -> np.ndarray:
     """Matrix exponential of a square complex matrix.
 
     Scaling-and-squaring with a Pade-type rational approximation (the
     SciPy implementation), wrapped with the package's validation: the
-    input must be square, finite, and no larger than ``tol.expm_dim_cap``.
-    Deterministic across runs.
+    input must be square and finite.  Deterministic across runs.
     """
     m = as_complex_matrix(a, square=True)
-    if m.shape[0] > tol.expm_dim_cap:
-        raise ValueError(
-            f"matrix dimension {m.shape[0]} exceeds the expm cap "
-            f"{tol.expm_dim_cap}"
-        )
     out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise ValueError("expm overflowed to non-finite entries")

@@ -2,8 +2,13 @@
 
 These deliberately avoid the code paths of the package under test: the
 matrix exponential is a plain scaled Taylor summation, and the squeezer
-forms are textbook closed formulas.
+forms are textbook closed formulas.  The number-basis references are
+the original per-state loops, indexed through a dictionary of occupation
+tuples built independently of the package's basis.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -47,3 +52,60 @@ def squeezer_matrix(g: float) -> np.ndarray:
     m[2, 0] = -1j * np.sinh(g)
     m[2, 2] = np.cosh(g)
     return m
+
+
+def loop_basis(n_max: int):
+    """Occupation tuples ``(s1, i1, s2, i2)`` in lexicographic order, and
+    the tuple -> position dictionary."""
+    occupations = list(itertools.product(range(n_max + 1), repeat=4))
+    return occupations, {occ: i for i, occ in enumerate(occupations)}
+
+
+def loop_generator(gamma1: float, gamma2: float, kappa: float,
+                   n_max: int) -> np.ndarray:
+    """Dense number-basis generator built state by state and term by term."""
+    terms = (
+        (gamma1, (0, +1), (1, +1)),
+        (gamma1, (0, -1), (1, -1)),
+        (gamma2, (2, +1), (3, +1)),
+        (gamma2, (2, -1), (3, -1)),
+        (kappa, (1, -1), (3, +1)),
+        (kappa, (1, +1), (3, -1)),
+    )
+    occupations, index = loop_basis(n_max)
+    g = np.zeros((len(occupations), len(occupations)), dtype=complex)
+    for i, occ in enumerate(occupations):
+        for coef, (mode_a, step_a), (mode_b, step_b) in terms:
+            if coef == 0.0:
+                continue
+            target = list(occ)
+            amp = coef
+            ok = True
+            for mode, step in ((mode_a, step_a), (mode_b, step_b)):
+                n = target[mode]
+                if step > 0:
+                    amp *= math.sqrt(n + 1)
+                    target[mode] = n + 1
+                else:
+                    if n == 0:
+                        ok = False
+                        break
+                    amp *= math.sqrt(n)
+                    target[mode] = n - 1
+            if not ok or max(target) > n_max:
+                continue
+            g[index[tuple(target)], i] += amp
+    return g
+
+
+def loop_signal_cross(psi: np.ndarray, n_max: int) -> complex:
+    """``<A_s1^+ A_s2>`` of a number-basis state, summed state by state."""
+    occupations, index = loop_basis(n_max)
+    cross = 0.0 + 0.0j
+    for i, occ in enumerate(occupations):
+        if occ[2] == 0 or occ[0] == n_max:
+            continue
+        amp = math.sqrt(occ[2]) * math.sqrt(occ[0] + 1)
+        target = (occ[0] + 1, occ[1], occ[2] - 1, occ[3])
+        cross += np.conj(psi[index[target]]) * amp * psi[i]
+    return cross

@@ -202,3 +202,58 @@ def test_decompose_cascaded(capsys):
 def test_decompose_needs_exactly_one_device(capsys):
     assert run_cli("decompose") == EXIT_USAGE
     assert run_cli("decompose", "--gamma1", "0.1", "--r1", "0.1") == EXIT_USAGE
+
+
+def test_fig4_and_fig6_presets_alias_fig2(capsys):
+    outputs = []
+    for preset in ("fig2", "fig4", "fig6"):
+        assert run_cli("sweep-length", "--preset", preset,
+                       "--steps", "3", "--to", "1.0") == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_oracle_check_rejects_oversized_cutoff(capsys):
+    # rejected by the basis-size guard before any state is allocated
+    assert run_cli("oracle-check", "--preset", "fig2",
+                   "--nmax", "100") == EXIT_USAGE
+    assert "basis states" in capsys.readouterr().err
+
+
+def test_decompose_nmax_runs_the_number_basis_cross_check(capsys):
+    device = ("--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
+              "--length", "1.0")
+    assert run_cli("decompose", *device) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert run_cli("decompose", *device, "--nmax", "4") == EXIT_OK
+    checked = capsys.readouterr().out
+    assert checked.startswith(plain)
+    extra = checked[len(plain):].splitlines()
+    assert len(extra) == 1
+    fields = dict(tok.split("=") for tok in extra[0].split())
+    assert fields["nmax"] == "4"
+    assert float(fields["dintensity"]) < 1e-3
+    assert float(fields["dgamma"]) < 1e-3
+    assert float(fields["leakage"]) < 1e-4
+    # the same comparison oracle-check prints for this length
+    assert run_cli("oracle-check", "--preset", "fig2", "--points", "1.0",
+                   "--nmax", "4") == EXIT_OK
+    oracle_line = capsys.readouterr().out.splitlines()[0]
+    assert oracle_line.split(" ", 1)[1] == extra[0].split(" ", 1)[1]
+
+
+def test_decompose_nmax_needs_a_below_threshold_continuous_device(capsys):
+    assert run_cli("decompose", "--r1", "0.1", "--r2", "0.1",
+                   "--psi", "0.3", "--nmax", "4") == EXIT_USAGE
+    assert "continuous device" in capsys.readouterr().err
+    assert run_cli("decompose", "--gamma1", "1", "--gamma2", "1",
+                   "--kappa", "0.5", "--length", "1",
+                   "--nmax", "4") == EXIT_USAGE
+    assert "below-threshold" in capsys.readouterr().err
+
+
+def test_decompose_nmax_leakage_exit_code(capsys):
+    assert run_cli("decompose", "--gamma1", "1.0", "--gamma2", "1.0",
+                   "--kappa", "2.5", "--length", "3.0",
+                   "--nmax", "2") == EXIT_LEAKAGE
+    assert "boundary population" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import coupledpdc.fock as fock
 from coupledpdc.decompose import extract_four_converter
@@ -18,6 +19,8 @@ from coupledpdc.fock import (
 from coupledpdc.moments import intensities, signal_coherence
 from coupledpdc.whichway import pair_state
 
+from oracles import loop_basis, loop_generator, loop_signal_cross
+
 FIG2 = dict(gamma1=0.1, gamma2=0.3, kappa=3.0)
 
 
@@ -28,9 +31,12 @@ def basis4():
 
 def test_basis_size_and_bijection(basis4):
     assert basis4.size == 5 ** 4
-    for i, occ in enumerate(basis4.occupations):
-        assert basis4.index[tuple(int(x) for x in occ)] == i
-    assert len(basis4.index) == basis4.size
+    occupations, _ = loop_basis(4)
+    assert np.array_equal(basis4.occupations, np.array(occupations))
+    for i, occ in enumerate(occupations):
+        assert basis4.index_of(occ) == i
+    assert np.array_equal(basis4.index_of(basis4.occupations),
+                          np.arange(basis4.size))
 
 
 def test_basis_rejects_tiny_cutoff():
@@ -38,24 +44,41 @@ def test_basis_rejects_tiny_cutoff():
         FockBasis.build(0)
 
 
+def test_basis_rejects_oversized_cutoff_before_allocating():
+    # 31^4 states fit under the cap, 32^4 do not; n_max = 30 is not built
+    # here, only the boundary arithmetic is checked
+    assert 31 ** 4 <= fock.MAX_STATES < 32 ** 4
+    for n_max in (31, 100, 10 ** 9):
+        with pytest.raises(ValueError, match="basis states"):
+            FockBasis.build(n_max)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+def test_generator_equals_loop_reference(n_max):
+    g = build_generator(ContinuousDevice(**FIG2, length=1.0),
+                        FockBasis.build(n_max))
+    assert np.array_equal(g.toarray(), loop_generator(**FIG2, n_max=n_max))
+
+
 def test_generator_zero_couplings():
     g = build_generator(ContinuousDevice(0, 0, 0, 1.0), FockBasis.build(2))
-    assert np.count_nonzero(g) == 0
+    assert g.nnz == 0
+    assert np.array_equal(g.toarray(), loop_generator(0, 0, 0, n_max=2))
 
 
 def test_generator_pair_creation_amplitudes():
     basis = FockBasis.build(2)
     g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
-    vac = basis.index[(0, 0, 0, 0)]
-    assert g[basis.index[(1, 1, 0, 0)], vac] == pytest.approx(0.1)
-    assert g[basis.index[(0, 0, 1, 1)], vac] == pytest.approx(0.3)
+    vac = basis.index_of((0, 0, 0, 0))
+    assert g[basis.index_of((1, 1, 0, 0)), vac] == pytest.approx(0.1)
+    assert g[basis.index_of((0, 0, 1, 1)), vac] == pytest.approx(0.3)
     # the idler exchange annihilates the vacuum
-    assert g[basis.index[(0, 1, 0, 1)], vac] == 0
+    assert g[basis.index_of((0, 1, 0, 1)), vac] == 0
 
 
 def test_generator_is_hermitian(basis4):
     g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis4)
-    assert np.max(np.abs(g - g.conj().T)) < 1e-12
+    assert abs(g - g.conj().T).max() < 1e-12
 
 
 def test_evolve_zero_length_is_vacuum(basis4):
@@ -85,12 +108,25 @@ def test_evolve_leakage_small_for_suppressed_device(basis4):
     assert state.leakage < 1e-4
 
 
-def test_sparse_and_dense_paths_agree(basis4, monkeypatch):
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_evolve_matches_dense_expm_of_reference(n_max):
     dev = ContinuousDevice(**FIG2, length=1.0)
-    dense = evolve(dev, basis4)
-    monkeypatch.setattr(fock, "_DENSE_LIMIT", 1)
-    sparse = evolve(dev, basis4)
-    assert np.max(np.abs(dense.amplitudes - sparse.amplitudes)) < 1e-13
+    state = evolve(dev, FockBasis.build(n_max))
+    dense = scipy.linalg.expm(1j * loop_generator(**FIG2, n_max=n_max)
+                              * dev.length)[:, 0]
+    assert np.max(np.abs(state.amplitudes - dense)) < 1e-13
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
+def test_signal_cross_term_matches_loop_reference(basis4, length):
+    state = evolve(ContinuousDevice(**FIG2, length=length), basis4)
+    n_s1, _, n_s2, _ = mode_occupations(state)
+    value = -1j * loop_signal_cross(state.amplitudes, 4) / math.sqrt(
+        n_s1 * n_s2)
+    coherence = fock_observables(state).coherence
+    assert coherence.gamma == pytest.approx(value.real, rel=1e-15)
+    assert coherence.imag_residue == pytest.approx(
+        abs(value.imag), rel=1e-15, abs=1e-30)
 
 
 def test_observables_vacuum_coherence_undefined(basis4):

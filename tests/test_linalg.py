@@ -113,12 +113,6 @@ def test_expm_rejects_non_finite():
         expm(bad)
 
 
-def test_expm_dimension_cap():
-    small_cap = dataclasses.replace(TOL, expm_dim_cap=3)
-    with pytest.raises(ValueError, match="cap"):
-        expm(np.zeros((4, 4)), tol=small_cap)
-
-
 def test_mat_mul_identity():
     a = np.arange(16, dtype=float).reshape(4, 4) + 1j
     assert np.array_equal(mat_mul(np.eye(4), a), a)
