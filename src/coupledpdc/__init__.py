@@ -35,9 +35,11 @@ from .device import (
 from .errors import (
     DegenerateGeometryError,
     ExtractionResidualError,
+    NonFiniteMatrixError,
     NonRealCorrelationError,
+    PairConservationError,
     PdcModelError,
-    SingularMatrixError,
+    SymplecticDriftError,
     TanhDomainError,
     TruncationLeakageError,
     UndefinedCoherenceError,
@@ -117,7 +119,6 @@ __all__ = [
     "fock_observables",
     "pair_component",
     "PdcModelError",
-    "SingularMatrixError",
     "UndefinedCoherenceError",
     "NonRealCorrelationError",
     "TanhDomainError",
@@ -125,4 +126,7 @@ __all__ = [
     "DegenerateGeometryError",
     "ZeroSchemeError",
     "TruncationLeakageError",
+    "NonFiniteMatrixError",
+    "SymplecticDriftError",
+    "PairConservationError",
 ]

@@ -43,8 +43,11 @@ from .device import (
 )
 from .errors import (
     ExtractionResidualError,
+    NonFiniteMatrixError,
     NonRealCorrelationError,
+    PairConservationError,
     PdcModelError,
+    SymplecticDriftError,
     TanhDomainError,
     TruncationLeakageError,
     UndefinedCoherenceError,
@@ -86,8 +89,10 @@ COLUMN_DOCS = {
     "zou_g5": "crossed converter coupling (s2-i1) of the four-converter scheme",
     "uv_angle": "oriented angle between the which-way vectors u = (g1, g4) "
                 "and v = (g5, -g2), in (-pi, pi]",
-    "ou_g1": "first converter coupling of the interferometer scheme",
-    "ou_g2": "second converter coupling of the interferometer scheme",
+    "ou_g1": "first converter coupling of the interferometer scheme; "
+             "|ou_g1| >= |ou_g2|",
+    "ou_g2": "second converter coupling of the interferometer scheme; "
+             "|ou_g2| <= |ou_g1|",
     "ou_phis": "signal mixer angle of the interferometer scheme, (-pi/2, pi/2]",
     "ou_phii": "idler mixer angle of the interferometer scheme, (-pi/2, pi/2]",
     "zou_residual": "largest back-propagated correlation left by the "
@@ -151,6 +156,9 @@ _STATUS_TAGS = {
     TanhDomainError: "tanh-domain",
     ExtractionResidualError: "residual-too-large",
     TruncationLeakageError: "leakage",
+    NonFiniteMatrixError: "non-finite",
+    SymplecticDriftError: "symplectic-drift",
+    PairConservationError: "pair-conservation",
 }
 
 
@@ -158,91 +166,112 @@ def _tag(exc: PdcModelError) -> str:
     return _STATUS_TAGS.get(type(exc), "error")
 
 
-def sweep_length_rows(cfg: SweepConfig) -> List[dict]:
-    """Evaluate a length sweep; one dict of column -> string per point.
+def _interferometer_columns(row: dict, tm, tol: Tolerances,
+                            problems: List[str]) -> None:
+    try:
+        ou = dec.extract_interferometer(tm, tol)
+    except PdcModelError as exc:
+        problems.append(f"ou:{_tag(exc)}")
+        return
+    row["ou_g1"] = _fmt(ou.scheme.g1)
+    row["ou_g2"] = _fmt(ou.scheme.g2)
+    row["ou_phis"] = _fmt(ou.scheme.phi_s)
+    row["ou_phii"] = _fmt(ou.scheme.phi_i)
+    row["ou_residual"] = _fmt(ou.residual)
 
-    Extraction failures never abort the sweep: the affected columns stay
-    empty and the status column carries a tag.
+
+def _length_columns(row: dict, tm, tol: Tolerances) -> List[str]:
+    """Fill one length-sweep row from its transfer matrix; returns the
+    failure tags."""
+    inten = mom.intensities(tm, tol)
+    row["n_s1"] = _fmt(inten.s1)
+    row["n_s2"] = _fmt(inten.s2)
+    row["n_total_signal"] = _fmt(inten.total_signal)
+    problems: List[str] = []
+    row["gamma_defined"] = "0"
+    try:
+        row["gamma"] = _fmt(mom.signal_coherence(tm, tol).gamma)
+        row["gamma_defined"] = "1"
+    except UndefinedCoherenceError:
+        pass
+    except PdcModelError as exc:
+        problems.append(f"gamma:{_tag(exc)}")
+    try:
+        zou = dec.extract_four_converter(tm, tol)
+        scheme = zou.scheme
+        row["zou_g1"] = _fmt(scheme.g1)
+        row["zou_g2"] = _fmt(scheme.g2)
+        row["zou_g4"] = _fmt(scheme.g4)
+        row["zou_g5"] = _fmt(scheme.g5)
+        row["zou_residual"] = _fmt(zou.residual)
+        try:
+            row["uv_angle"] = _fmt(ww.geometry(scheme).angle)
+        except PdcModelError:
+            pass
+    except PdcModelError as exc:
+        problems.append(f"zou:{_tag(exc)}")
+    _interferometer_columns(row, tm, tol, problems)
+    return problems
+
+
+def _psi_columns(row: dict, tm, tol: Tolerances) -> List[str]:
+    """Fill one psi-sweep row; the gamma column uses the aligned-idler
+    sign convention (see COLUMN_DOCS["gamma"])."""
+    problems: List[str] = []
+    try:
+        row["gamma"] = _fmt(-mom.signal_coherence(tm, tol).gamma)
+    except PdcModelError as exc:
+        problems.append(f"gamma:{_tag(exc)}")
+    _interferometer_columns(row, tm, tol, problems)
+    return problems
+
+
+def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], make_tm,
+                fill) -> List[dict]:
+    """One dict of column -> string per grid point, in grid order.
+
+    No point aborts the sweep: a failure leaves the affected columns
+    empty and the status column carries a tag (``device:`` when the
+    transfer matrix or its occupations already fail).
     """
-    base: ContinuousDevice = cfg.device
     rows = []
-    for length in cfg.grid():
-        dev = ContinuousDevice(base.gamma1, base.gamma2, base.kappa,
-                               float(length))
-        tm = transfer_matrix(dev, cfg.tol)
-        inten = mom.intensities(tm, cfg.tol)
-        row = {name: "" for name in LENGTH_COLUMNS}
-        row["L"] = _fmt(length)
-        row["n_s1"] = _fmt(inten.s1)
-        row["n_s2"] = _fmt(inten.s2)
-        row["n_total_signal"] = _fmt(inten.total_signal)
-        problems = []
-        try:
-            coh = mom.signal_coherence(tm, cfg.tol)
-            row["gamma"] = _fmt(coh.gamma)
-            row["gamma_defined"] = "1"
-        except UndefinedCoherenceError:
-            row["gamma_defined"] = "0"
-        try:
-            zou = dec.extract_four_converter(tm, cfg.tol)
-            scheme = zou.scheme
-            row["zou_g1"] = _fmt(scheme.g1)
-            row["zou_g2"] = _fmt(scheme.g2)
-            row["zou_g4"] = _fmt(scheme.g4)
-            row["zou_g5"] = _fmt(scheme.g5)
-            row["zou_residual"] = _fmt(zou.residual)
+    # overflow far above threshold is caught and tagged, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for value in cfg.grid():
+            row = {name: "" for name in columns}
+            row[columns[0]] = _fmt(value)
             try:
-                row["uv_angle"] = _fmt(ww.geometry(scheme).angle)
-            except PdcModelError:
-                pass
-        except PdcModelError as exc:
-            problems.append(f"zou:{_tag(exc)}")
-        try:
-            ou = dec.extract_interferometer(tm, cfg.tol)
-            row["ou_g1"] = _fmt(ou.scheme.g1)
-            row["ou_g2"] = _fmt(ou.scheme.g2)
-            row["ou_phis"] = _fmt(ou.scheme.phi_s)
-            row["ou_phii"] = _fmt(ou.scheme.phi_i)
-            row["ou_residual"] = _fmt(ou.residual)
-        except PdcModelError as exc:
-            problems.append(f"ou:{_tag(exc)}")
-        row["status"] = ";".join(problems) if problems else "ok"
-        rows.append(row)
+                problems = fill(row, make_tm(float(value)), cfg.tol)
+            except PdcModelError as exc:
+                problems = [f"device:{_tag(exc)}"]
+            row["status"] = ";".join(problems) if problems else "ok"
+            rows.append(row)
     return rows
+
+
+def sweep_length_rows(cfg: SweepConfig) -> List[dict]:
+    """Evaluate a length sweep of the continuous device (see
+    :func:`_sweep_rows`)."""
+    base: ContinuousDevice = cfg.device
+
+    def make_tm(length: float):
+        return transfer_matrix(ContinuousDevice(
+            base.gamma1, base.gamma2, base.kappa, length), cfg.tol)
+
+    return _sweep_rows(cfg, LENGTH_COLUMNS, make_tm, _length_columns)
 
 
 def sweep_psi_rows(cfg: SweepConfig) -> List[dict]:
-    """Evaluate an alignment-angle sweep of the cascaded device.
-
-    The gamma column uses the aligned-idler sign convention (see
-    COLUMN_DOCS["gamma"]): the raw coherence of the cascade construction
-    is negated so that full alignment reports +1.
-    """
+    """Evaluate an alignment-angle sweep of the cascaded device (see
+    :func:`_sweep_rows`); the raw coherence of the cascade construction
+    is negated so that full alignment reports +1."""
     base: CascadedDevice = cfg.device
-    rows = []
-    for psi in cfg.grid():
-        dev = CascadedDevice(base.r1, base.r2, float(psi))
-        tm = cascaded_transfer_matrix(dev, cfg.tol)
-        row = {name: "" for name in PSI_COLUMNS}
-        row["psi"] = _fmt(psi)
-        problems = []
-        try:
-            coh = mom.signal_coherence(tm, cfg.tol)
-            row["gamma"] = _fmt(-coh.gamma)
-        except UndefinedCoherenceError as exc:
-            problems.append(f"gamma:{_tag(exc)}")
-        try:
-            ou = dec.extract_interferometer(tm, cfg.tol)
-            row["ou_g1"] = _fmt(ou.scheme.g1)
-            row["ou_g2"] = _fmt(ou.scheme.g2)
-            row["ou_phis"] = _fmt(ou.scheme.phi_s)
-            row["ou_phii"] = _fmt(ou.scheme.phi_i)
-            row["ou_residual"] = _fmt(ou.residual)
-        except PdcModelError as exc:
-            problems.append(f"ou:{_tag(exc)}")
-        row["status"] = ";".join(problems) if problems else "ok"
-        rows.append(row)
-    return rows
+
+    def make_tm(psi: float):
+        return cascaded_transfer_matrix(
+            CascadedDevice(base.r1, base.r2, psi), cfg.tol)
+
+    return _sweep_rows(cfg, PSI_COLUMNS, make_tm, _psi_columns)
 
 
 def render_csv(columns: Sequence[str], rows: List[dict],
@@ -547,8 +576,7 @@ def _cmd_decompose(args) -> int:
         s = ou.scheme
         print(f"ou_g1={_fmt(s.g1)} ou_g2={_fmt(s.g2)} "
               f"ou_phis={_fmt(s.phi_s)} ou_phii={_fmt(s.phi_i)} "
-              f"ou_residual={_fmt(ou.residual)} branch={ou.branch} "
-              f"fallback={int(ou.fallback_used)}")
+              f"ou_residual={_fmt(ou.residual)} branch={ou.branch}")
     except PdcModelError as exc:
         print(f"interferometer extraction failed: {_tag(exc)}")
     if basis is not None:

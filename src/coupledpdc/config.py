@@ -12,17 +12,15 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # dense linear algebra
-    condition_cap: float = 1e12       # inverse() refuses beyond this estimate
     inverse_identity: float = 1e-10   # |inv(a)@a - I| element-wise, 4x4
 
     # transfer matrices
-    symplectic: float = 1e-10         # |M eta M^H - eta| element-wise
+    symplectic: float = 1e-10         # |M eta M^H - eta|, x max(1, max|M|^2)
     semigroup: float = 1e-9           # composition consistency of exp(iHL)
     threshold_equality: float = 1e-12 # |kappa| == gamma1+gamma2 detection
 
     # vacuum moments and coherence
-    occupation_floor: float = -1e-12  # occupations this far below 0 clamp to 0
-    pair_conservation: float = 1e-9   # signal total == idler total
+    pair_conservation: float = 1e-9   # signal total == idler total, x max(1, total)
     coherence_epsilon: float = 1e-14  # occupations below this: undefined gamma
     coherence_fragile: float = 1e-8   # occupations below this: fragile gamma
     coherence_imag: float = 1e-9      # |Im| allowance for real-coupling gamma
@@ -32,8 +30,6 @@ class Tolerances:
     imag_correlation: float = 1e-9    # purely-imaginary correlation assertion
     tanh_overshoot: float = 1e-9      # |arg|-1 beyond this is an error
     tanh_clamp: float = 1e-15         # clamped into (-1+clamp, 1-clamp)
-    degenerate_denominator: float = 1e-12  # closed form gives way to search
-    fallback_residual: float = 1e-10  # residual target of the 2-D search
     extraction_residual_max: float = 1e-6  # hard failure beyond this
     scheme_moment_match: float = 1e-8 # forward-synthesis moment agreement
     coherence_match: float = 1e-6     # mixer-formula gamma vs direct gamma

@@ -10,13 +10,16 @@ the same output state:
 * an **interferometer scheme** -- the two direct downconverters followed
   by a signal mixer of angle ``phi_s`` and an idler mixer of ``phi_i``.
 
-Both parameter sets are recovered by back-propagating the vacuum-input
-output moments through candidate inverse stages and demanding that the
-correlations which a vacuum input cannot carry vanish at each step.  The
-largest surviving such correlation is reported as the extraction
-``residual``; zero residual certifies that the scheme reproduces the
-device's output state exactly (the leftover back-propagated matrix is
-passive, and passive stages act trivially on vacuum).
+The four-converter couplings follow from closed-form ``tanh`` inversions
+of the output moments.  The interferometer scheme is the Bloch-Messiah
+factorization of the device (passive, squeezers, passive; on vacuum input
+the first passive stage does nothing), read from one singular-value
+decomposition of the 2x2 pair-correlation matrix.  Either way the
+parameters are checked by back-propagating the output through the inverse
+stages: the largest vacuum moment left over is reported as the extraction
+``residual``, and zero residual certifies that the scheme reproduces the
+device's output state exactly (the leftover matrix is passive, and passive
+stages act trivially on vacuum).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import TOL, Tolerances
 from .device import TransferMatrix
@@ -106,16 +108,15 @@ class ExtractionReport:
     """Result of a scheme extraction.
 
     ``residual`` is the largest back-propagated correlation that should
-    vanish for vacuum input; ``branch`` records which root (or search
-    path) produced the parameters; ``imag_residue`` is the largest
-    imaginary contamination seen in the nominally real inversion
-    arguments.
+    vanish for vacuum input; ``branch`` names the route that produced the
+    parameters (``closed-form`` for the four-converter scheme, ``svd`` for
+    the interferometer scheme); ``imag_residue`` is the largest imaginary
+    contamination seen in the nominally real inversion arguments.
     """
 
     scheme: Scheme
     residual: float
     branch: str
-    fallback_used: bool = False
     imag_residue: float = 0.0
 
 
@@ -185,35 +186,29 @@ def mixer_stage(phi_s: float, phi_i: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
-
-def _moments_of(matrix: np.ndarray, tol: Tolerances):
-    return vacuum_moments(TransferMatrix(matrix, tol=tol), tol)
-
+# shared helpers (back-propagated intermediates stay raw arrays: the
+# extraction residual, not a symplectic check, certifies them)
 
 def _vanishing_residual(matrix: np.ndarray, tol: Tolerances) -> float:
     """Largest vacuum moment of ``matrix``; zero iff it is passive."""
-    return _moments_of(matrix, tol).max_abs()
+    return vacuum_moments(matrix, tol).max_abs()
 
 
-def _invert_tanh(arg: complex, tol: Tolerances, *, what: str,
-                 strict: bool = True) -> tuple[float, float]:
+def _invert_tanh(arg: complex, tol: Tolerances,
+                 *, what: str) -> tuple[float, float]:
     """Solve ``tanh(2g) = arg`` for real g.
 
-    Returns ``(g, imag_residue)``.  In strict mode a non-real argument or
-    an argument reaching past +-1 by more than the rounding allowance is
-    an error; the search path uses the lenient mode, where the residual
-    is left to judge the candidate.
+    Returns ``(g, imag_residue)``.  A non-real argument, or one reaching
+    past +-1 by more than the rounding allowance, is an error.
     """
     imag = abs(arg.imag)
-    if strict and imag > tol.imag_correlation:
+    if imag > tol.imag_correlation:
         raise NonRealCorrelationError(
             f"{what}: inversion argument has imaginary part {imag:.3e}"
         )
     x = float(arg.real)
     if abs(x) >= 1.0:
-        overshoot = abs(x) - 1.0
-        if strict and overshoot > tol.tanh_overshoot:
+        if abs(x) - 1.0 > tol.tanh_overshoot:
             raise TanhDomainError(
                 f"{what}: |tanh argument| = {abs(x)} exceeds 1 beyond the "
                 "rounding allowance"
@@ -222,19 +217,19 @@ def _invert_tanh(arg: complex, tol: Tolerances, *, what: str,
     return 0.5 * math.atanh(x), imag
 
 
-def _direct_gains(matrix: np.ndarray, tol: Tolerances,
-                  *, strict: bool = True) -> tuple[float, float, float]:
+def _direct_gains(matrix: np.ndarray,
+                  tol: Tolerances) -> tuple[float, float, float]:
     """Couplings of the direct converter pair that decorrelate ``matrix``.
 
     Solves the two vanishing conditions for the s1-i1 and s2-i2 pair
     correlations; the inversion arguments are real exactly when those
     correlations are purely imaginary.
     """
-    ms = _moments_of(matrix, tol)
+    ms = vacuum_moments(matrix, tol)
     t1 = -2j * ms.d["s1i1"] / (ms.b["s1"] + ms.b["i1"] + 1.0)
     t2 = -2j * ms.d["s2i2"] / (ms.b["s2"] + ms.b["i2"] + 1.0)
-    g1, r1 = _invert_tanh(t1, tol, what="direct gain g1", strict=strict)
-    g2, r2 = _invert_tanh(t2, tol, what="direct gain g2", strict=strict)
+    g1, r1 = _invert_tanh(t1, tol, what="direct gain g1")
+    g2, r2 = _invert_tanh(t2, tol, what="direct gain g2")
     return g1, g2, max(r1, r2)
 
 
@@ -276,146 +271,65 @@ def extract_four_converter(tm: TransferMatrix,
 # ---------------------------------------------------------------------------
 # interferometer extraction
 
-def _normalize_angle(phi: float) -> float:
-    """Fold an angle into (-pi/2, pi/2] (mixers repeat modulo pi up to
-    a sign relabeling that the gain extraction absorbs)."""
-    folded = math.remainder(phi, math.pi)
-    if folded <= -math.pi / 2:
-        folded += math.pi
-    return folded
+#: Singular values closer than this, relative to the larger one, are equal
+#: to rounding; the singular basis is then arbitrary.
+_EQUAL_SINGULAR = 1e-12
 
 
-def _interferometer_candidate(m: np.ndarray, phi_s: float, phi_i: float,
-                              tol: Tolerances, *, strict: bool = False):
-    """Evaluate one (phi_s, phi_i) candidate: gains, residual, residue."""
-    partial = mixer_stage(phi_s, phi_i) @ m
-    g1, g2, imag = _direct_gains(partial, tol, strict=strict)
-    residual = _vanishing_residual(direct_stage(g1, g2) @ partial, tol)
-    return g1, g2, residual, imag
+def _mixer_angle(v0: complex, v1: complex, sign: float) -> float:
+    """Angle in (-pi/2, pi/2] of the mixer column ``(cos phi, sign*i sin
+    phi)`` to which ``(v0, v1)`` is proportional.
 
-
-def _closed_form_roots(ms, tol: Tolerances):
-    """The two mixing-angle candidates of the closed-form solution.
-
-    Returns a possibly empty list of ``(label, phi_s, phi_i)``.  Empty
-    means a degenerate denominator or a contaminated argument, in which
-    case the caller falls back to the bounded search.
+    Uses the phase-invariant combinations ``|v0|^2 - |v1|^2`` (cos 2phi)
+    and ``2 Im(v1 conj v0)`` (sign * sin 2phi), so neither component's
+    phase is fixed and a vanishing component needs no special case.
     """
-    d = ms.d
-    num = 1j * (d["s1i1"] ** 2 + d["s1i2"] ** 2
-                - d["s2i1"] ** 2 - d["s2i2"] ** 2)
-    den = d["s1i1"] * d["s1i2"] - d["s2i1"] * d["s2i2"]
-    if abs(den) < tol.degenerate_denominator:
-        return []
-    p = num / den
-    if abs(p.imag) > tol.imag_correlation * max(1.0, abs(p.real)):
-        return []
-    roots = []
-    for label, sign in (("+", 1.0), ("-", -1.0)):
-        tan_i = 0.5 * (-p.real + sign * math.sqrt(p.real ** 2 + 4.0))
-        den_s = d["s2i1"] * tan_i + 1j * d["s2i2"]
-        if abs(den_s) < tol.degenerate_denominator:
-            continue
-        tan_s = (d["s1i2"] - 1j * d["s1i1"] * tan_i) / den_s
-        if abs(tan_s.imag) > tol.imag_correlation * max(1.0, abs(tan_s.real)):
-            continue
-        roots.append((label, math.atan(tan_s.real), math.atan(tan_i)))
-    return roots
-
-
-def _search_candidates(m: np.ndarray, tol: Tolerances):
-    """Bounded 2-D residual-minimizing search over the mixing angles.
-
-    Deterministic: a fixed angle grid seeds a Nelder-Mead refinement of
-    the few best, well-separated seeds.  Multiple exact solutions exist
-    whenever the device has a relabeling symmetry; all near-optimal
-    candidates are returned so the caller can canonicalize.
-    """
-    angles = np.linspace(-math.pi / 2, math.pi / 2, 37)
-    seeds = []
-    for ps in angles:
-        for pi in angles:
-            _, _, residual, _ = _interferometer_candidate(m, ps, pi, tol)
-            seeds.append((residual, float(ps), float(pi)))
-    seeds.sort(key=lambda s: (s[0], abs(s[1]) + abs(s[2]), s[1], s[2]))
-    picked = []
-    for residual, ps, pi in seeds:
-        if any(abs(ps - qs) + abs(pi - qi) < 0.3 for _, qs, qi in picked):
-            continue
-        picked.append((residual, ps, pi))
-        if len(picked) == 6:
-            break
-    candidates = []
-    for residual, ps, pi in picked:
-        if residual > tol.fallback_residual:
-            def cost(x):
-                _, _, r, _ = _interferometer_candidate(m, x[0], x[1], tol)
-                return r
-            opt = minimize(cost, [ps, pi], method="Nelder-Mead",
-                           options={"xatol": 1e-13, "fatol": 1e-16,
-                                    "maxiter": 400})
-            ps, pi = float(opt.x[0]), float(opt.x[1])
-        ps, pi = _normalize_angle(ps), _normalize_angle(pi)
-        g1, g2, residual, imag = _interferometer_candidate(m, ps, pi, tol)
-        candidates.append((residual, ps, pi, g1, g2, imag))
-    return candidates
+    phi = 0.5 * math.atan2(2.0 * sign * (v1 * v0.conjugate()).imag,
+                           abs(v0) ** 2 - abs(v1) ** 2)
+    return phi + math.pi if phi <= -math.pi / 2 else phi
 
 
 def extract_interferometer(tm: TransferMatrix,
                            tol: Tolerances = TOL) -> ExtractionReport:
     """Extract the interferometer scheme from a transfer matrix.
 
-    The mixing angles come from a closed-form solution of the vanishing
-    conditions for the crossed pair correlations; both roots of the
-    underlying quadratic are evaluated and the one with the smaller final
-    residual wins.  Degenerate devices (vanishing denominators, e.g. a
-    symmetric device or a fully aligned cascade) fall back to a bounded
-    deterministic 2-D search; among equivalent zero-residual solutions
-    the canonical representative keeps the second converter's gain
-    smallest, then the mixing angles smallest.
+    The pair-correlation matrix ``D = [[d_s1i1, d_s1i2], [d_s2i1,
+    d_s2i2]] = M_ss M_is^H`` of the scheme factors as
+    ``Rs diag(i cosh g_k sinh g_k) Ri^H``, with ``Rs`` and ``Ri`` the
+    forward signal and idler mixers: an SVD of ``D`` with singular values
+    ``sinh(2|g_k|)/2``.  The mixing angles come from the first left and
+    right singular vectors, the signed gains from ``tanh`` inversions
+    after undoing the mixers, and the residual from one final
+    back-propagation.  The cost is the same at every point.
 
-    Raises :class:`~coupledpdc.errors.ExtractionResidualError` when not
-    even the fallback reaches the residual tolerance.
+    Canonical representative: ``|g1| >= |g2|`` (the larger singular value
+    belongs to the first converter; equal to rounding when the singular
+    values are) and both angles in (-pi/2, pi/2].
+    When the singular values are equal to rounding (a symmetric device,
+    an uncoupled cascade, or zero length) only the sum or difference of
+    the angles is fixed; the representative with the smallest
+    ``|phi_s| + |phi_i|`` and then the smallest ``|phi_s|`` is
+    ``phi_s = 0``, whose idler mixer is read from the first row of ``D``.
+    A zero second singular value (a fully aligned cascade) needs no
+    special case: the angles depend on the first singular vectors alone.
+
+    Raises :class:`~coupledpdc.errors.ExtractionResidualError` when the
+    back-propagated moments do not vanish to tolerance.
     """
-    m = tm.matrix
-    ms = vacuum_moments(tm, tol)
-    branch = None
-    fallback = False
-
-    best = None
-    for label, phi_s, phi_i in _closed_form_roots(ms, tol):
-        try:
-            g1, g2, residual, imag = _interferometer_candidate(
-                m, phi_s, phi_i, tol, strict=True)
-        except (NonRealCorrelationError, TanhDomainError):
-            continue
-        if best is None or residual < best[0]:
-            best = (residual, phi_s, phi_i, g1, g2, imag)
-            branch = label
-
-    if best is None or best[0] > tol.extraction_residual_max:
-        fallback = True
-        scale = max(1.0, ms.max_abs())
-        if max(abs(ms.d["s1i2"]), abs(ms.d["s2i1"])) \
-                <= tol.degenerate_denominator * scale:
-            # the crossed correlations already vanish: the identity mixer
-            # is the canonical representative
-            g1, g2, residual, imag = _interferometer_candidate(
-                m, 0.0, 0.0, tol)
-            best = (residual, 0.0, 0.0, g1, g2, imag)
-            branch = "mixer-free"
-        else:
-            candidates = _search_candidates(m, tol)
-            rmin = min(c[0] for c in candidates)
-            admissible = [c for c in candidates
-                          if c[0] <= max(tol.fallback_residual, 2.0 * rmin)]
-            admissible.sort(key=lambda c: (round(abs(c[4]), 9),
-                                           round(abs(c[1]) + abs(c[2]), 9),
-                                           c[1], c[2]))
-            best = admissible[0]
-            branch = "search"
-
-    residual, phi_s, phi_i, g1, g2, imag = best
+    d = vacuum_moments(tm, tol).d
+    pairs = np.array([[d["s1i1"], d["s1i2"]], [d["s2i1"], d["s2i2"]]])
+    left, sigma, right_h = np.linalg.svd(pairs)
+    if sigma[0] - sigma[1] <= _EQUAL_SINGULAR * sigma[0]:
+        # D is sigma times a unitary: with Rs = 1, Ri's first column is
+        # proportional to the conjugated first row of D
+        phi_s = 0.0
+        phi_i = _mixer_angle(*(pairs[0].conj() / (sigma[0] or 1.0)), -1.0)
+    else:
+        phi_s = _mixer_angle(*left[:, 0], 1.0)
+        phi_i = _mixer_angle(*right_h[0].conj(), -1.0)
+    partial = mixer_stage(phi_s, phi_i) @ tm.matrix
+    g1, g2, imag = _direct_gains(partial, tol)
+    residual = _vanishing_residual(direct_stage(g1, g2) @ partial, tol)
     if residual > tol.extraction_residual_max:
         raise ExtractionResidualError(
             f"interferometer residual {residual:.3e} exceeds "
@@ -425,8 +339,7 @@ def extract_interferometer(tm: TransferMatrix,
         scheme=InterferometerScheme(g1=g1, g2=g2,
                                     phi_s=phi_s, phi_i=phi_i),
         residual=residual,
-        branch=branch,
-        fallback_used=fallback,
+        branch="svd",
         imag_residue=imag,
     )
 

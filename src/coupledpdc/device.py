@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, Tolerances
+from .errors import NonFiniteMatrixError, SymplecticDriftError
 from .linalg import as_complex_matrix, expm
 
 __all__ = [
@@ -127,7 +128,9 @@ class TransferMatrix:
     that legitimately large above-threshold matrices, whose absolute
     floating-point residual grows with the entries, still construct; for
     the bounded below-threshold matrices the check is the plain
-    element-wise tolerance.
+    element-wise tolerance.  A violation raises
+    :class:`~coupledpdc.errors.SymplecticDriftError`, and a residual that
+    overflows :class:`~coupledpdc.errors.NonFiniteMatrixError`.
     """
 
     matrix: np.ndarray
@@ -137,10 +140,14 @@ class TransferMatrix:
         m = as_complex_matrix(self.matrix, square=True)
         if m.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))) ** 2)
+        peak = float(np.max(np.abs(m)))
+        scale = max(1.0, peak * peak)
         resid = symplectic_residual(m)
+        if not math.isfinite(resid):
+            raise NonFiniteMatrixError(
+                f"symplectic residual overflowed at max|M| = {peak:.3e}")
         if resid > self.tol.symplectic * scale:
-            raise ValueError(
+            raise SymplecticDriftError(
                 f"matrix is not symplectic: residual {resid:.3e} "
                 f"(allowed {self.tol.symplectic * scale:.3e})"
             )

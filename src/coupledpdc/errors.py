@@ -5,10 +5,6 @@ class PdcModelError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class SingularMatrixError(PdcModelError):
-    """Matrix inversion requested for a singular or ill-conditioned matrix."""
-
-
 class UndefinedCoherenceError(PdcModelError):
     """Mutual coherence is a 0/0 expression (an empty signal mode)."""
 
@@ -39,3 +35,18 @@ class ZeroSchemeError(PdcModelError):
 class TruncationLeakageError(PdcModelError):
     """Too much population reached the edge of the truncated number basis;
     the result is not trustworthy at this cutoff."""
+
+
+class NonFiniteMatrixError(PdcModelError, ValueError):
+    """A matrix, or a moment computed from it, has non-finite entries
+    (for example ``exp(iHL)`` overflowing far above threshold)."""
+
+
+class SymplecticDriftError(PdcModelError, ValueError):
+    """A transfer matrix violates ``M eta M^H = eta`` beyond the
+    tolerance scaled to its entries."""
+
+
+class PairConservationError(PdcModelError, ValueError):
+    """Signal and idler photon totals differ beyond the tolerance scaled
+    to the occupations."""

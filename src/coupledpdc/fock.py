@@ -95,9 +95,6 @@ class FockState:
     amplitudes: np.ndarray
     leakage: float
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def build_generator(dev: ContinuousDevice,
                     basis: FockBasis) -> scipy.sparse.csr_matrix:

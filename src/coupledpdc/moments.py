@@ -15,15 +15,20 @@ for this device class, as do normal signal-idler correlations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Union
 
 import numpy as np
 
 from .config import TOL, Tolerances
 from .device import TransferMatrix
-from .errors import UndefinedCoherenceError
+from .errors import (
+    NonFiniteMatrixError,
+    PairConservationError,
+    UndefinedCoherenceError,
+)
 
 __all__ = [
     "MomentSet",
@@ -50,7 +55,7 @@ class MomentSet:
     signal-idler labels (``s1i1``, ``s1i2``, ``s2i1``, ``s2i2``) the
     anomalous correlation ``<A_j A_k>``; for ``s1s2`` and ``i1i2`` the
     normal correlation ``<A_j^+ A_k>``.  ``b`` maps a mode label to its
-    occupation ``<A_j^+ A_j>`` (real, >= 0 after rounding clamp).
+    occupation ``<A_j^+ A_j>`` (real, >= 0).
     """
 
     d: Mapping[str, complex]
@@ -98,9 +103,18 @@ class Intensities:
         return self.s1 + self.s2
 
 
-def vacuum_moments(tm: TransferMatrix, tol: Tolerances = TOL) -> MomentSet:
-    """All non-vanishing vacuum-input second moments of ``tm``'s output."""
-    m = tm.matrix
+def vacuum_moments(tm: Union[TransferMatrix, np.ndarray],
+                   tol: Tolerances = TOL) -> MomentSet:
+    """All non-vanishing vacuum-input second moments of ``tm``'s output.
+
+    ``tm`` is a validated :class:`TransferMatrix` or, for the scheme
+    extractions' back-propagated intermediates, a raw 4x4 array.  Raises
+    :class:`~coupledpdc.errors.NonFiniteMatrixError` when an occupation
+    overflows and :class:`~coupledpdc.errors.PairConservationError` when
+    the signal and idler totals differ by more than
+    ``tol.pair_conservation`` times ``max(1, signal total)``.
+    """
+    m = tm.matrix if isinstance(tm, TransferMatrix) else tm
     d = {
         "s1i1": m[0, 0] * np.conj(m[2, 0]) + m[0, 1] * np.conj(m[2, 1]),
         "s1i2": m[0, 0] * np.conj(m[3, 0]) + m[0, 1] * np.conj(m[3, 1]),
@@ -110,22 +124,22 @@ def vacuum_moments(tm: TransferMatrix, tol: Tolerances = TOL) -> MomentSet:
         "i1i2": m[2, 0] * np.conj(m[3, 0]) + m[2, 1] * np.conj(m[3, 1]),
     }
     b = {
-        "s1": abs(m[0, 2]) ** 2 + abs(m[0, 3]) ** 2,
-        "s2": abs(m[1, 2]) ** 2 + abs(m[1, 3]) ** 2,
-        "i1": abs(m[2, 0]) ** 2 + abs(m[2, 1]) ** 2,
-        "i2": abs(m[3, 0]) ** 2 + abs(m[3, 1]) ** 2,
+        "s1": float(abs(m[0, 2]) ** 2 + abs(m[0, 3]) ** 2),
+        "s2": float(abs(m[1, 2]) ** 2 + abs(m[1, 3]) ** 2),
+        "i1": float(abs(m[2, 0]) ** 2 + abs(m[2, 1]) ** 2),
+        "i2": float(abs(m[3, 0]) ** 2 + abs(m[3, 1]) ** 2),
     }
-    for key, val in b.items():
-        if val < tol.occupation_floor:
-            raise ValueError(f"occupation {key} = {val} is negative")
-        b[key] = max(0.0, float(val))
-    pair_gap = abs(b["s1"] + b["s2"] - b["i1"] - b["i2"])
-    if pair_gap > tol.pair_conservation:
-        raise ValueError(
+    signal = b["s1"] + b["s2"]
+    pair_gap = abs(signal - b["i1"] - b["i2"])
+    if not math.isfinite(pair_gap):
+        raise NonFiniteMatrixError(
+            f"occupations overflowed: signal total {signal:.3e}")
+    if pair_gap > tol.pair_conservation * max(1.0, signal):
+        raise PairConservationError(
             "pair production must create equal signal and idler totals; "
-            f"gap {pair_gap:.3e}"
+            f"gap {pair_gap:.3e} at signal total {signal:.3e}"
         )
-    return MomentSet(d=MappingProxyType(d), b=MappingProxyType(dict(b)))
+    return MomentSet(d=MappingProxyType(d), b=MappingProxyType(b))
 
 
 def signal_coherence(tm: TransferMatrix, tol: Tolerances = TOL) -> CoherenceResult:

@@ -1,8 +1,12 @@
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledpdc.cli import (
     EXIT_LEAKAGE,
@@ -141,6 +145,40 @@ def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):
         assert row["zou_g1"] != ""
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.floats(0.0, 1.5), st.floats(0.0, 1.5),
+       st.sampled_from(["above", "at", "below"]), st.floats(0.0, 1.0),
+       st.floats(5.0, 500.0))
+def test_no_row_aborts_a_long_sweep(gamma1, gamma2, regime, fraction, stop):
+    # above threshold exp(iHL) grows until it overflows; every row must
+    # still end with a status, and the command with exit status 0
+    gain = gamma1 + gamma2
+    kappa = {"above": gain * 0.95 * fraction, "at": gain,
+             "below": gain + 0.05 + fraction}[regime]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "long.csv"
+        assert run_cli("sweep-length", "--gamma1", repr(gamma1),
+                       "--gamma2", repr(gamma2), "--kappa", repr(kappa),
+                       "--from", "0.01", "--to", repr(stop), "--steps", "8",
+                       "--out", str(out)) == EXIT_OK
+        header, rows = read_rows(out)
+    assert header == list(LENGTH_COLUMNS)
+    assert len(rows) == 8
+    assert all(row["status"] for row in rows)
+
+
+def test_above_threshold_sweep_tags_rows_instead_of_aborting(tmp_path):
+    out = tmp_path / "above.csv"
+    assert run_cli("sweep-length", "--gamma1", "1", "--gamma2", "1",
+                   "--kappa", "0.5", "--from", "0.01", "--to", "400",
+                   "--steps", "50", "--out", str(out)) == EXIT_OK
+    _, rows = read_rows(out)
+    assert len(rows) == 50 and rows[0]["status"] == "ok"
+    # exp(iHL) overflows at the far end: only the length is left
+    assert rows[-1]["status"] == "device:non-finite"
+    assert rows[-1]["L"] == "400.0" and rows[-1]["n_s1"] == ""
+
+
 def test_preset_overrides(tmp_path):
     out = tmp_path / "short.csv"
     assert run_cli("sweep-length", "--preset", "fig2", "--steps", "3",
@@ -197,6 +235,25 @@ def test_decompose_cascaded(capsys):
                    "--psi", str(math.pi / 4)) == EXIT_OK
     text = capsys.readouterr().out
     assert "device=cascaded" in text and "ou_g1=" in text
+
+
+def test_decompose_aligned_cascade(capsys):
+    assert run_cli("decompose", "--r1", "0.1", "--r2", "0.1",
+                   "--psi", "1.5707963267948966") == EXIT_OK
+    line = capsys.readouterr().out.splitlines()[-1]
+    fields = dict(tok.split("=") for tok in line.split())
+    assert fields["branch"] == "svd" and "fallback" not in fields
+    assert float(fields["ou_residual"]) < 1e-10
+    assert abs(float(fields["ou_g2"])) <= 1e-8
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.2 s of every start-up
+    code = ("import sys, coupledpdc.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_decompose_needs_exactly_one_device(capsys):

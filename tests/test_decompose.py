@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupledpdc.cli import (
+    PRESETS,
+    SweepConfig,
+    sweep_length_rows,
+    sweep_psi_rows,
+)
 from coupledpdc.decompose import (
     FourConverterScheme,
     InterferometerScheme,
@@ -131,38 +137,101 @@ def test_cascaded_alignment_extremes_reduce_the_scheme():
 # ---------------------------------------------------------------------------
 # interferometer extraction
 
-def test_interferometer_uncoupled_uses_identity_mixer():
+def _assert_canonical_certified_scheme(tm, report, tol=1e-10):
+    """The three behavioural checks of an interferometer extraction:
+    residual, canonical representative, and moment round-trip."""
+    s = report.scheme
+    assert report.residual < tol
+    assert abs(s.g1) >= abs(s.g2)
+    for phi in (s.phi_s, s.phi_i):
+        assert -math.pi / 2 < phi <= math.pi / 2
+    want = vacuum_moments(tm)
+    got = vacuum_moments(interferometer_matrix(s))
+    for key in want.d:
+        assert abs(got.d[key] - want.d[key]) <= tol
+    for key in want.b:
+        assert abs(got.b[key] - want.b[key]) <= tol
+
+
+def test_interferometer_uncoupled_is_a_relabeled_identity_mixer():
+    # the larger converter becomes g1; swapping the converters takes a
+    # quarter-turn of both mixers
     tm = transfer_matrix(ContinuousDevice(0.1, 0.3, 0.0, 1.0))
     report = extract_interferometer(tm)
+    _assert_canonical_certified_scheme(tm, report)
     s = report.scheme
-    assert s.phi_s == 0.0 and s.phi_i == 0.0
-    assert s.g1 == pytest.approx(0.1, abs=1e-10)
-    assert s.g2 == pytest.approx(0.3, abs=1e-10)
-    assert report.residual < 1e-10
-    assert report.branch == "mixer-free"
+    assert abs(s.g1) == pytest.approx(0.3, abs=1e-10)
+    assert abs(s.g2) == pytest.approx(0.1, abs=1e-10)
+    assert s.phi_s == pytest.approx(math.pi / 2, abs=1e-12)
+    assert s.phi_i == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_interferometer_generic_closed_form():
-    report = extract_interferometer(_fig2(1.0))
-    assert report.residual < 1e-10
-    assert report.branch in ("+", "-")
-    assert not report.fallback_used
+    tm = _fig2(1.0)
+    _assert_canonical_certified_scheme(tm, extract_interferometer(tm))
 
 
 def test_interferometer_full_alignment_drops_second_converter():
+    # zero second singular value: the angles come from the first
+    # singular vectors alone
     tm = cascaded_transfer_matrix(CascadedDevice(0.1, 0.1, math.pi / 2))
     report = extract_interferometer(tm)
+    _assert_canonical_certified_scheme(tm, report)
     assert abs(report.scheme.g2) <= 1e-8
-    assert report.fallback_used
-    assert report.residual < 1e-8
 
 
-def test_interferometer_symmetric_device_needs_fallback():
-    tm = transfer_matrix(ContinuousDevice(0.2, 0.2, 3.0, 1.0))
+def test_interferometer_singular_vector_with_vanishing_first_component():
+    # gamma1 = 0 leaves the first signal mode empty, so the first left
+    # singular vector is (0, 1) up to a phase: phi_s = pi/2
+    tm = transfer_matrix(ContinuousDevice(0.0, 0.5, -1.0, 1.0))
     report = extract_interferometer(tm)
-    assert report.fallback_used
-    assert abs(abs(report.scheme.g1) - abs(report.scheme.g2)) <= 1e-8
-    assert report.residual < 1e-8
+    _assert_canonical_certified_scheme(tm, report)
+    assert report.scheme.phi_s == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("tm, phi_i", [
+    (transfer_matrix(ContinuousDevice(0.2, 0.2, 3.0, 1.0)), None),
+    (cascaded_transfer_matrix(CascadedDevice(0.1, 0.1, 0.0)), 0.0),
+    (TransferMatrix.identity(), 0.0),
+], ids=["symmetric-device", "unaligned-cascade", "identity"])
+def test_interferometer_equal_gains_put_the_angle_in_the_idler_mixer(tm,
+                                                                      phi_i):
+    # equal singular values leave only the sum or difference of the
+    # angles fixed; the canonical representative has phi_s = 0
+    report = extract_interferometer(tm)
+    _assert_canonical_certified_scheme(tm, report)
+    s = report.scheme
+    assert abs(abs(s.g1) - abs(s.g2)) <= 1e-12
+    assert s.phi_s == 0.0
+    if phi_i is not None:
+        assert s.phi_i == pytest.approx(phi_i, abs=1e-12)
+
+
+def test_interferometer_representative_on_the_figure_grids():
+    for preset, rows_of in (("fig2", sweep_length_rows),
+                            ("fig7", sweep_psi_rows)):
+        p = PRESETS[preset]
+        device = (ContinuousDevice(p["gamma1"], p["gamma2"], p["kappa"], 0.0)
+                  if preset == "fig2" else CascadedDevice(p["r1"], p["r2"], 0.0))
+        rows = rows_of(SweepConfig(kind=p["kind"], device=device,
+                                   start=p["start"], stop=p["stop"],
+                                   steps=p["steps"]))
+        assert len(rows) == p["steps"]
+        for row in rows:
+            assert row["status"] == "ok"
+            assert abs(float(row["ou_g1"])) >= abs(float(row["ou_g2"]))
+
+
+def test_interferometer_representative_ignores_rounding_noise():
+    # neighbouring floats give the same representative: no rounding-level
+    # comparison picks between equivalent solutions
+    for length in np.linspace(0.5, 19.5, 20):
+        here = extract_interferometer(_fig2(float(length))).scheme
+        there = extract_interferometer(
+            _fig2(float(np.nextafter(length, np.inf)))).scheme
+        for name in ("g1", "g2", "phi_s", "phi_i"):
+            assert getattr(there, name) == pytest.approx(
+                getattr(here, name), abs=1e-12), (length, name)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -172,6 +241,7 @@ def test_interferometer_roundtrip_reproduces_moments(g1, g2, phi_s, phi_i):
     tm = interferometer_matrix(scheme)
     report = extract_interferometer(tm)
     # the recovered parameters may be a relabeling; the moments must match
+    assert abs(report.scheme.g1) >= abs(report.scheme.g2)
     resynth = interferometer_matrix(report.scheme)
     want = vacuum_moments(tm)
     got = vacuum_moments(resynth)

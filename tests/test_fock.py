@@ -94,7 +94,7 @@ def test_evolve_single_squeezer_photon_number(basis4):
     assert n_s1 == pytest.approx(math.sinh(0.1) ** 2, abs=1e-6)
     assert n_i1 == pytest.approx(n_s1, abs=1e-12)
     assert n_s2 == 0 and n_i2 == 0
-    assert abs(state.norm() - 1.0) <= 1e-9
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-9
 
 
 def test_evolve_reports_leakage_and_raises_when_truncated():
