@@ -11,19 +11,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # dense linear algebra
-    inverse_identity: float = 1e-10   # |inv(a)@a - I| element-wise, 4x4
-
     # transfer matrices
     symplectic: float = 1e-10         # |M eta M^H - eta|, x max(1, max|M|^2)
-    semigroup: float = 1e-9           # composition consistency of exp(iHL)
     threshold_equality: float = 1e-12 # |kappa| == gamma1+gamma2 detection
 
     # vacuum moments and coherence
     pair_conservation: float = 1e-9   # signal total == idler total, x max(1, total)
     coherence_epsilon: float = 1e-14  # occupations below this: undefined gamma
     coherence_fragile: float = 1e-8   # occupations below this: fragile gamma
-    coherence_imag: float = 1e-9      # |Im| allowance for real-coupling gamma
     coherence_bound_slack: float = 1e-9  # |gamma| <= 1 + slack
 
     # scheme extraction
@@ -31,14 +26,8 @@ class Tolerances:
     tanh_overshoot: float = 1e-9      # |arg|-1 beyond this is an error
     tanh_clamp: float = 1e-15         # clamped into (-1+clamp, 1-clamp)
     extraction_residual_max: float = 1e-6  # hard failure beyond this
-    scheme_moment_match: float = 1e-8 # forward-synthesis moment agreement
-    coherence_match: float = 1e-6     # mixer-formula gamma vs direct gamma
     gain_bound_slack: float = 1e-9    # photon-number inequality slack
     scheme_parameter_cap: float = 10.0  # |g| sanity bound after inversion
-
-    # which-way analysis
-    probability_sum: float = 1e-12    # p1 + p2 == 1
-    lagrange_identity: float = 1e-12  # dot^2 + cross^2 == u^2 v^2
 
     # truncated number-basis oracle
     fock_norm: float = 1e-9           # evolved-state norm drift allowance

@@ -154,13 +154,6 @@ class TransferMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(self.matrix @ other.matrix, tol=self.tol)
-
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        return cls(np.eye(4, dtype=complex))
-
 
 def build_hamiltonian(dev: ContinuousDevice) -> np.ndarray:
     """Quadratic-form generator of the continuous device.

@@ -7,6 +7,11 @@ Gaussian assumption, so agreement with the transfer-matrix route
 cross-validates both, as long as little population reaches the truncation
 boundary (tracked by a leakage proxy).
 
+Every term of the generator conserves ``(n_s1 + n_s2) - (n_i1 + n_i2)``
+(pairs are created together, idlers only exchanged), so the basis holds
+only the vacuum's zero-charge sector: ``n(n+1)(2n+1)/3 + (n+1)^2`` states
+at cutoff ``n`` instead of ``(n+1)^4``.
+
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
 in signal 1 and one in idler 1.
 """
@@ -37,36 +42,49 @@ __all__ = [
     "pair_component",
 ]
 
-# largest basis FockBasis.build allocates: (n_max + 1)^4 <= this keeps
-# n_max = 30 and rejects n_max = 31
+# largest basis FockBasis.build allocates: the sector size stays within
+# this up to n_max = 113 and exceeds it from n_max = 114
 MAX_STATES = 1_000_000
+
+
+def sector_size(n_max: int) -> int:
+    """Number of zero-charge states with each occupation <= ``n_max``."""
+    return n_max * (n_max + 1) * (2 * n_max + 1) // 3 + (n_max + 1) ** 2
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """All four-mode number states with each occupation <= ``n_max``.
+    """The :func:`sector_size` states with occupations <= ``n_max`` and
+    ``n_s1 + n_s2 == n_i1 + n_i2``, in ascending order of their key
+    ``((n_s1*d + n_i1)*d + n_s2)*d + n_i2``, ``d = n_max + 1``.
 
-    States are ordered by the mixed-radix index
-    ``((n_s1*d + n_i1)*d + n_s2)*d + n_i2`` with ``d = n_max + 1``, so
-    state 0 is the vacuum and a step in one mode moves the index by that
-    mode's stride.
+    Row 0 is the vacuum, a step in one mode moves the key by that mode's
+    stride, and ``np.searchsorted`` over ``keys`` maps a key to its row.
     """
 
     n_max: int
     occupations: np.ndarray            # (size, 4) int array
+    keys: np.ndarray                   # (size,) ascending int64 keys
 
     @classmethod
     def build(cls, n_max: int = 4) -> "FockBasis":
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        d = n_max + 1
-        if d ** 4 > MAX_STATES:
+        if sector_size(n_max) > MAX_STATES:
             raise ValueError(
-                f"n_max={n_max} needs {d ** 4} basis states, more than "
-                f"{MAX_STATES}")
-        occ = np.ascontiguousarray(np.indices((d,) * 4).reshape(4, -1).T)
+                f"n_max={n_max} needs {sector_size(n_max)} basis states, "
+                f"more than {MAX_STATES}")
+        d = n_max + 1
+        # (n_s1, n_i1, n_s2) in ascending order fixes n_i2, so the kept
+        # rows are in ascending key order
+        s1, i1, s2 = np.indices((d,) * 3).reshape(3, -1)
+        i2 = s1 + s2 - i1
+        keep = (i2 >= 0) & (i2 <= n_max)
+        occ = np.stack([s1, i1, s2, i2], axis=1)[keep]
+        keys = (((s1 * d + i1) * d + s2) * d + i2)[keep]
         occ.flags.writeable = False
-        return cls(n_max=n_max, occupations=occ)
+        keys.flags.writeable = False
+        return cls(n_max=n_max, occupations=occ, keys=keys)
 
     @property
     def size(self) -> int:
@@ -74,13 +92,20 @@ class FockBasis:
 
     @property
     def strides(self) -> np.ndarray:
-        """Index step of one photon in each mode, ``(d^3, d^2, d, 1)``."""
+        """Key step of one photon in each mode, ``(d^3, d^2, d, 1)``."""
         d = self.n_max + 1
         return np.array([d ** 3, d ** 2, d, 1], dtype=np.int64)
 
     def index_of(self, occupations) -> np.ndarray:
-        """Basis index of one occupation tuple, or of each row of an array."""
-        return np.asarray(occupations, dtype=np.int64) @ self.strides
+        """Row of one occupation tuple, or of each row of an array; a
+        ``ValueError`` if any is not in the basis."""
+        occ = np.asarray(occupations, dtype=np.int64)
+        row = np.minimum(np.searchsorted(self.keys, occ @ self.strides),
+                         self.size - 1)
+        if not np.array_equal(self.occupations[row], occ):
+            raise ValueError(f"{occupations!r} is not in the zero-charge "
+                             f"basis with n_max={self.n_max}")
+        return row
 
 
 @dataclass(frozen=True)
@@ -105,8 +130,8 @@ def build_generator(dev: ContinuousDevice,
     listed with its Hermitian conjugate, so the matrix is Hermitian by
     construction (the cutoff drops both directions of a boundary-crossing
     transition).  Each term is one masked array operation over all source
-    states; its target index is the source index plus the strides of the
-    modes it steps.
+    states; its target key is the source key plus the strides of the modes
+    it steps, and every target inside the cutoff is in the sector.
     """
     terms = (
         (dev.gamma1, (0, +1), (1, +1)),
@@ -117,7 +142,6 @@ def build_generator(dev: ContinuousDevice,
         (dev.kappa, (1, +1), (3, -1)),
     )
     occ = basis.occupations
-    source = np.arange(basis.size)
     rows, cols, vals = [], [], []
     for coef, *steps in terms:
         keep = np.full(basis.size, coef != 0.0)
@@ -127,8 +151,8 @@ def build_generator(dev: ContinuousDevice,
             keep &= (n < basis.n_max) if step > 0 else (n > 0)
             amp = amp * np.sqrt(n + (step > 0))
         offset = sum(step * basis.strides[mode] for mode, step in steps)
-        rows.append(source[keep] + offset)
-        cols.append(source[keep])
+        rows.append(np.searchsorted(basis.keys, basis.keys[keep] + offset))
+        cols.append(np.flatnonzero(keep))
         vals.append(amp[keep])
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -196,7 +220,8 @@ def fock_observables(state: FockState, tol: Tolerances = TOL) -> FockObservables
     occ = basis.occupations
     source = np.flatnonzero((occ[:, 2] > 0) & (occ[:, 0] < basis.n_max))
     amp = np.sqrt(occ[source, 2]) * np.sqrt(occ[source, 0] + 1)
-    target = source + basis.strides[0] - basis.strides[2]
+    target = np.searchsorted(
+        basis.keys, basis.keys[source] + basis.strides[0] - basis.strides[2])
     cross = complex(np.sum(np.conj(psi[target]) * amp * psi[source]))
 
     if n[0] <= tol.coherence_epsilon or n[2] <= tol.coherence_epsilon:

@@ -39,13 +39,6 @@ __all__ = [
     "intensities",
 ]
 
-#: Keys of the anomalous pair correlations in MomentSet.d.
-PAIR_KEYS = ("s1i1", "s1i2", "s2i1", "s2i2")
-#: Keys of the normal cross-correlations in MomentSet.d.
-CROSS_KEYS = ("s1s2", "i1i2")
-#: Keys of the occupations in MomentSet.b.
-MODE_KEYS = ("s1", "s2", "i1", "i2")
-
 
 @dataclass(frozen=True)
 class MomentSet:

@@ -54,16 +54,33 @@ def squeezer_matrix(g: float) -> np.ndarray:
     return m
 
 
+def loop_full_basis(n_max: int):
+    """All occupation tuples ``(s1, i1, s2, i2)`` up to the cutoff, in
+    lexicographic order."""
+    return list(itertools.product(range(n_max + 1), repeat=4))
+
+
+def in_sector(occ) -> bool:
+    """Whether a ket has as many signal as idler photons."""
+    return occ[0] + occ[2] == occ[1] + occ[3]
+
+
+def sector_mask(n_max: int) -> np.ndarray:
+    """Boolean mask of the sector kets within :func:`loop_full_basis`."""
+    return np.array([in_sector(occ) for occ in loop_full_basis(n_max)])
+
+
 def loop_basis(n_max: int):
-    """Occupation tuples ``(s1, i1, s2, i2)`` in lexicographic order, and
-    the tuple -> position dictionary."""
-    occupations = list(itertools.product(range(n_max + 1), repeat=4))
+    """Sector occupation tuples in lexicographic order, and the
+    tuple -> position dictionary."""
+    occupations = [occ for occ in loop_full_basis(n_max) if in_sector(occ)]
     return occupations, {occ: i for i, occ in enumerate(occupations)}
 
 
 def loop_generator(gamma1: float, gamma2: float, kappa: float,
                    n_max: int) -> np.ndarray:
-    """Dense number-basis generator built state by state and term by term."""
+    """Dense generator on the full truncated basis, built state by state
+    and term by term."""
     terms = (
         (gamma1, (0, +1), (1, +1)),
         (gamma1, (0, -1), (1, -1)),
@@ -72,7 +89,8 @@ def loop_generator(gamma1: float, gamma2: float, kappa: float,
         (kappa, (1, -1), (3, +1)),
         (kappa, (1, +1), (3, -1)),
     )
-    occupations, index = loop_basis(n_max)
+    occupations = loop_full_basis(n_max)
+    index = {occ: i for i, occ in enumerate(occupations)}
     g = np.zeros((len(occupations), len(occupations)), dtype=complex)
     for i, occ in enumerate(occupations):
         for coef, (mode_a, step_a), (mode_b, step_b) in terms:
@@ -99,7 +117,7 @@ def loop_generator(gamma1: float, gamma2: float, kappa: float,
 
 
 def loop_signal_cross(psi: np.ndarray, n_max: int) -> complex:
-    """``<A_s1^+ A_s2>`` of a number-basis state, summed state by state."""
+    """``<A_s1^+ A_s2>`` of a sector state, summed state by state."""
     occupations, index = loop_basis(n_max)
     cross = 0.0 + 0.0j
     for i, occ in enumerate(occupations):

@@ -273,7 +273,7 @@ def test_fig4_and_fig6_presets_alias_fig2(capsys):
 def test_oracle_check_rejects_oversized_cutoff(capsys):
     # rejected by the basis-size guard before any state is allocated
     assert run_cli("oracle-check", "--preset", "fig2",
-                   "--nmax", "100") == EXIT_USAGE
+                   "--nmax", "1000") == EXIT_USAGE
     assert "basis states" in capsys.readouterr().err
 
 

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings
 
 import coupledpdc.fock as fock
+from coupledpdc.config import Tolerances
 from coupledpdc.decompose import extract_four_converter
 from coupledpdc.device import ContinuousDevice, transfer_matrix
 from coupledpdc.errors import TruncationLeakageError, UndefinedCoherenceError
@@ -19,7 +22,8 @@ from coupledpdc.fock import (
 from coupledpdc.moments import intensities, signal_coherence
 from coupledpdc.whichway import pair_state
 
-from oracles import loop_basis, loop_generator, loop_signal_cross
+from oracles import loop_basis, loop_generator, loop_signal_cross, sector_mask
+from test_device import below_threshold_devices
 
 FIG2 = dict(gamma1=0.1, gamma2=0.3, kappa=3.0)
 
@@ -30,7 +34,7 @@ def basis4():
 
 
 def test_basis_size_and_bijection(basis4):
-    assert basis4.size == 5 ** 4
+    assert basis4.size == 85
     occupations, _ = loop_basis(4)
     assert np.array_equal(basis4.occupations, np.array(occupations))
     for i, occ in enumerate(occupations):
@@ -44,26 +48,51 @@ def test_basis_rejects_tiny_cutoff():
         FockBasis.build(0)
 
 
+def test_sector_size_matches_brute_force_count():
+    for n_max in range(1, 13):
+        assert fock.sector_size(n_max) == len(loop_basis(n_max)[0])
+        assert FockBasis.build(n_max).size == fock.sector_size(n_max)
+
+
 def test_basis_rejects_oversized_cutoff_before_allocating():
-    # 31^4 states fit under the cap, 32^4 do not; n_max = 30 is not built
-    # here, only the boundary arithmetic is checked
-    assert 31 ** 4 <= fock.MAX_STATES < 32 ** 4
-    for n_max in (31, 100, 10 ** 9):
+    # 987,734 states fit under the cap, 1,013,955 do not; n_max = 113 is
+    # not built here, only the boundary arithmetic is checked
+    assert fock.sector_size(113) == 987_734
+    assert fock.sector_size(114) == 1_013_955
+    assert fock.sector_size(113) <= fock.MAX_STATES < fock.sector_size(114)
+    for n_max in (114, 1000, 10 ** 9):
         with pytest.raises(ValueError, match="basis states"):
             FockBasis.build(n_max)
 
 
+def test_index_of_refuses_kets_outside_the_basis(basis4):
+    # outside the sector, beyond the cutoff, and a beyond-cutoff ket whose
+    # key equals that of the sector ket |0011>
+    for ket in ((1, 0, 0, 0), (0, 1, 0, 1), (5, 5, 0, 0), (0, 0, 0, 6)):
+        with pytest.raises(ValueError, match="not in the zero-charge basis"):
+            basis4.index_of(ket)
+    with pytest.raises(ValueError):
+        basis4.index_of([(1, 1, 0, 0), (1, 0, 0, 0)])
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
 def test_generator_equals_loop_reference(n_max):
+    full = loop_generator(**FIG2, n_max=n_max)
+    sector = sector_mask(n_max)
+    # no term couples the sector to its complement
+    assert not np.any(full[np.ix_(sector, ~sector)])
+    assert not np.any(full[np.ix_(~sector, sector)])
     g = build_generator(ContinuousDevice(**FIG2, length=1.0),
                         FockBasis.build(n_max))
-    assert np.array_equal(g.toarray(), loop_generator(**FIG2, n_max=n_max))
+    assert np.array_equal(g.toarray(), full[np.ix_(sector, sector)])
 
 
 def test_generator_zero_couplings():
     g = build_generator(ContinuousDevice(0, 0, 0, 1.0), FockBasis.build(2))
     assert g.nnz == 0
-    assert np.array_equal(g.toarray(), loop_generator(0, 0, 0, n_max=2))
+    sector = sector_mask(2)
+    assert np.array_equal(g.toarray(), loop_generator(
+        0, 0, 0, n_max=2)[np.ix_(sector, sector)])
 
 
 def test_generator_pair_creation_amplitudes():
@@ -72,8 +101,8 @@ def test_generator_pair_creation_amplitudes():
     vac = basis.index_of((0, 0, 0, 0))
     assert g[basis.index_of((1, 1, 0, 0)), vac] == pytest.approx(0.1)
     assert g[basis.index_of((0, 0, 1, 1)), vac] == pytest.approx(0.3)
-    # the idler exchange annihilates the vacuum
-    assert g[basis.index_of((0, 1, 0, 1)), vac] == 0
+    # the idler exchange annihilates the vacuum: pair creation is all
+    assert g[:, vac].nnz == 2
 
 
 def test_generator_is_hermitian(basis4):
@@ -108,13 +137,54 @@ def test_evolve_leakage_small_for_suppressed_device(basis4):
     assert state.leakage < 1e-4
 
 
+def _dense_reference(dev, n_max):
+    """Vacuum column of the dense exponential of the full-basis reference,
+    split into its sector and complement parts."""
+    gen = loop_generator(dev.gamma1, dev.gamma2, dev.kappa, n_max=n_max)
+    dense = scipy.linalg.expm(1j * gen * dev.length)[:, 0]
+    sector = sector_mask(n_max)
+    return dense[sector], dense[~sector]
+
+
 @pytest.mark.parametrize("n_max", [3, 4])
 def test_evolve_matches_dense_expm_of_reference(n_max):
     dev = ContinuousDevice(**FIG2, length=1.0)
     state = evolve(dev, FockBasis.build(n_max))
-    dense = scipy.linalg.expm(1j * loop_generator(**FIG2, n_max=n_max)
-                              * dev.length)[:, 0]
-    assert np.max(np.abs(state.amplitudes - dense)) < 1e-13
+    inside, outside = _dense_reference(dev, n_max)
+    assert np.max(np.abs(state.amplitudes - inside)) < 1e-13
+    assert not np.any(outside)
+
+
+# the property compares amplitudes of the truncated problem itself, so
+# population on the cutoff boundary is no failure here
+_ANY_LEAKAGE = Tolerances(fock_leakage_max=1.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(below_threshold_devices())
+def test_sector_evolve_matches_full_basis_dense_expm(dev):
+    state = evolve(dev, FockBasis.build(3), tol=_ANY_LEAKAGE)
+    inside, outside = _dense_reference(dev, 3)
+    assert np.max(np.abs(state.amplitudes - inside)) < 1e-13
+    assert not np.any(outside)
+
+
+def test_evolve_calls_expm_multiply_once_through_the_module_name(
+        basis4, monkeypatch):
+    # bench/spans.py times the sparse kernel and counts basis sizes by
+    # rebinding these two names; a refactor that bypasses them would make
+    # its per-layer figures read 0
+    assert isinstance(FockBasis.__dict__["build"], classmethod)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scipy.sparse.linalg.expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "expm_multiply", counting)
+    for length in (0.5, 1.0):
+        evolve(ContinuousDevice(**FIG2, length=length), basis4)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])

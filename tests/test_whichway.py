@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coupledpdc.config import TOL
 from coupledpdc.decompose import (
     FourConverterScheme,
     InterferometerScheme,
@@ -95,7 +94,7 @@ def test_geometry_lagrange_identity(g1, g2, g4, g5):
     u2 = float(geo.u @ geo.u)
     v2 = float(geo.v @ geo.v)
     assert geo.dot ** 2 + geo.cross ** 2 == pytest.approx(
-        u2 * v2, abs=TOL.lagrange_identity)
+        u2 * v2, abs=1e-12)
     assert geo.gamma_sq <= 1.0 + 1e-12
 
 
@@ -112,11 +111,10 @@ def test_measurement_is_complete_and_normalized(g1, g2, g4, g5):
     assume(g1 * g1 + g4 * g4 > 1e-6)
     assume(g2 * g2 + g5 * g5 > 1e-8)
     mm = _measure(FourConverterScheme(g1, g2, g4, g5))
-    assert mm.p1 + mm.p2 == pytest.approx(1.0, abs=TOL.probability_sum)
+    assert mm.p1 + mm.p2 == pytest.approx(1.0, abs=1e-12)
     for state in (mm.state_1, mm.state_2):
         if state is not None:
-            assert np.vdot(state, state).real == pytest.approx(
-                1.0, abs=TOL.probability_sum)
+            assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measurement_angle_and_counting_limit():
