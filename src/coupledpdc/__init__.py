@@ -33,11 +33,13 @@ from .device import (
     transfer_matrix,
 )
 from .errors import (
+    CoherenceBoundError,
     DegenerateGeometryError,
     ExtractionResidualError,
     NonFiniteMatrixError,
     NonRealCorrelationError,
     PairConservationError,
+    ParameterCapError,
     PdcModelError,
     SymplecticDriftError,
     TanhDomainError,
@@ -129,4 +131,6 @@ __all__ = [
     "NonFiniteMatrixError",
     "SymplecticDriftError",
     "PairConservationError",
+    "CoherenceBoundError",
+    "ParameterCapError",
 ]

@@ -15,17 +15,28 @@ Four subcommands:
 
 CSV output is UTF-8, comma-separated, header row, LF line endings, with
 shortest round-trip decimal formatting; undefined values are empty fields
-accompanied by a flag or status column.  Sweeps are evaluated in grid
-order and the output is byte-identical across repeated runs.
+accompanied by a flag or status column.  Rows come out in grid order and
+the output is byte-identical across repeated runs.
+
+Both sweeps run on one batched engine.  The grid goes through it in
+blocks of :data:`BLOCK` points: one stacked transfer-matrix build with
+its checks, the vacuum moments once per block as ``(N,)`` arrays, and
+from them the coherence, the four-converter extraction and the
+interferometer extraction, each vectorized over the block.  Every check
+records a per-row failure instead of raising, and a row's status names
+the first failed check of each stage.  The block size does not change
+any result: each row is bit-identical to the same point computed on its
+own through the single-point functions, which are batches of one.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,20 +48,27 @@ from .device import (
     CascadedDevice,
     ContinuousDevice,
     Regime,
+    cascaded_stack,
     cascaded_transfer_matrix,
     classify_regime,
+    stack_failures,
     transfer_matrix,
+    transfer_stack,
 )
 from .errors import (
+    CoherenceBoundError,
     ExtractionResidualError,
     NonFiniteMatrixError,
     NonRealCorrelationError,
     PairConservationError,
+    ParameterCapError,
     PdcModelError,
     SymplecticDriftError,
     TanhDomainError,
     TruncationLeakageError,
     UndefinedCoherenceError,
+    first_of,
+    raise_first,
 )
 from .fock import FockBasis, evolve, fock_observables, mode_occupations
 
@@ -140,6 +158,11 @@ class SweepConfig:
             raise ValueError("sweep range must satisfy start < stop")
         if self.steps < 2:
             raise ValueError("a sweep needs at least 2 steps")
+        # every grid point must make a valid device; the grid is
+        # monotone, so its two ends suffice
+        variable = "length" if self.kind == "length" else "psi"
+        for end in (self.start, self.stop):
+            dataclasses.replace(self.device, **{variable: end})
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -159,6 +182,8 @@ _STATUS_TAGS = {
     NonFiniteMatrixError: "non-finite",
     SymplecticDriftError: "symplectic-drift",
     PairConservationError: "pair-conservation",
+    CoherenceBoundError: "coherence-bound",
+    ParameterCapError: "parameter-cap",
 }
 
 
@@ -166,112 +191,120 @@ def _tag(exc: PdcModelError) -> str:
     return _STATUS_TAGS.get(type(exc), "error")
 
 
-def _interferometer_columns(row: dict, tm, tol: Tolerances,
-                            problems: List[str]) -> None:
-    try:
-        ou = dec.extract_interferometer(tm, tol)
-    except PdcModelError as exc:
-        problems.append(f"ou:{_tag(exc)}")
-        return
-    row["ou_g1"] = _fmt(ou.scheme.g1)
-    row["ou_g2"] = _fmt(ou.scheme.g2)
-    row["ou_phis"] = _fmt(ou.scheme.phi_s)
-    row["ou_phii"] = _fmt(ou.scheme.phi_i)
-    row["ou_residual"] = _fmt(ou.residual)
+#: Grid points per pass of the sweep engine.  Besides its output rows a
+#: sweep holds only one block's stacks (a few hundred kilobytes), however
+#: many steps it has.
+BLOCK = 512
 
 
-def _length_columns(row: dict, tm, tol: Tolerances) -> List[str]:
-    """Fill one length-sweep row from its transfer matrix; returns the
-    failure tags."""
-    inten = mom.intensities(tm, tol)
-    row["n_s1"] = _fmt(inten.s1)
-    row["n_s2"] = _fmt(inten.s2)
-    row["n_total_signal"] = _fmt(inten.total_signal)
-    problems: List[str] = []
-    row["gamma_defined"] = "0"
-    try:
-        row["gamma"] = _fmt(mom.signal_coherence(tm, tol).gamma)
-        row["gamma_defined"] = "1"
-    except UndefinedCoherenceError:
-        pass
-    except PdcModelError as exc:
-        problems.append(f"gamma:{_tag(exc)}")
-    try:
-        zou = dec.extract_four_converter(tm, tol)
-        scheme = zou.scheme
-        row["zou_g1"] = _fmt(scheme.g1)
-        row["zou_g2"] = _fmt(scheme.g2)
-        row["zou_g4"] = _fmt(scheme.g4)
-        row["zou_g5"] = _fmt(scheme.g5)
-        row["zou_residual"] = _fmt(zou.residual)
-        try:
-            row["uv_angle"] = _fmt(ww.geometry(scheme).angle)
-        except PdcModelError:
-            pass
-    except PdcModelError as exc:
-        problems.append(f"zou:{_tag(exc)}")
-    _interferometer_columns(row, tm, tol, problems)
-    return problems
+def _column(values: np.ndarray) -> List[str]:
+    """:func:`_fmt` of each value."""
+    return list(map(repr, (values + 0.0).tolist()))
 
 
-def _psi_columns(row: dict, tm, tol: Tolerances) -> List[str]:
-    """Fill one psi-sweep row; the gamma column uses the aligned-idler
-    sign convention (see COLUMN_DOCS["gamma"])."""
-    problems: List[str] = []
-    try:
-        row["gamma"] = _fmt(-mom.signal_coherence(tm, tol).gamma)
-    except PdcModelError as exc:
-        problems.append(f"gamma:{_tag(exc)}")
-    _interferometer_columns(row, tm, tol, problems)
-    return problems
+def _cells(values: np.ndarray, failed: np.ndarray) -> List[str]:
+    """One column of a block, empty where the row failed."""
+    cells = _column(values)
+    for i in np.flatnonzero(np.not_equal(failed, None)):
+        cells[i] = ""
+    return cells
 
 
-def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], make_tm,
-                fill) -> List[dict]:
+def _scheme_cells(prefix: str, scheme: dec.SchemeStack) -> Dict[str, List[str]]:
+    cells = {f"{prefix}_{name.replace('_', '')}": _cells(values, scheme.failed)
+             for name, values in scheme.params.items()}
+    cells[f"{prefix}_residual"] = _cells(scheme.residual, scheme.failed)
+    return cells
+
+
+def _length_block(dev: ContinuousDevice, lengths: np.ndarray,
+                  tol: Tolerances):
+    """Cells, device failures and (stage, failures) of one block of a
+    length sweep; a failure of the moments is the device's, and an
+    undefined coherence an empty cell with ``gamma_defined = 0``."""
+    m = transfer_stack(dev, lengths)
+    ms = mom.vacuum_moments(m, tol)
+    device = first_of(stack_failures(m, tol), ms.failed)
+    coh, gamma_failed = mom.coherence_of(ms, device, tol)
+    zou = dec.four_converter_stack(m, ms, device, tol)
+    ou = dec.interferometer_stack(m, ms, device, tol)
+    geo, geo_failed = ww.geometry_stack(*(zou.params[g] for g in
+                                          ("g1", "g2", "g4", "g5")))
+    defined = np.where(np.equal(gamma_failed, None), "1", "0")
+    undefined = [isinstance(f, UndefinedCoherenceError) for f in gamma_failed]
+    cells = {
+        "gamma": _cells(coh.gamma, gamma_failed),
+        "gamma_defined": np.where(np.equal(device, None), defined, "").tolist(),
+        "n_s1": _cells(ms.b["s1"], device),
+        "n_s2": _cells(ms.b["s2"], device),
+        "n_total_signal": _cells(ms.b["s1"] + ms.b["s2"], device),
+        "uv_angle": _cells(geo.angle, first_of(zou.failed, geo_failed)),
+        **_scheme_cells("zou", zou), **_scheme_cells("ou", ou),
+    }
+    return cells, device, [("gamma", np.where(undefined, None, gamma_failed)),
+                           ("zou", zou.failed), ("ou", ou.failed)]
+
+
+def _psi_block(dev: CascadedDevice, psis: np.ndarray, tol: Tolerances):
+    """As :func:`_length_block` for a psi sweep, where a failure of the
+    moments is the coherence's and the extraction's; the gamma column
+    uses the aligned-idler sign convention (see COLUMN_DOCS["gamma"])."""
+    m = cascaded_stack(dev, psis)
+    device = stack_failures(m, tol)
+    ms = mom.vacuum_moments(m, tol)
+    upstream = first_of(device, ms.failed)
+    coh, gamma_failed = mom.coherence_of(ms, upstream, tol)
+    ou = dec.interferometer_stack(m, ms, upstream, tol)
+    cells = {"gamma": _cells(-coh.gamma, gamma_failed),
+             **_scheme_cells("ou", ou)}
+    return cells, device, [("gamma", gamma_failed), ("ou", ou.failed)]
+
+
+def _status(device: np.ndarray, stages) -> List[str]:
+    """Status cells: the device's tag alone, else the tags of the failed
+    stages joined by ``;``, else ``ok``."""
+    out = []
+    for i, exc in enumerate(device.tolist()):
+        tags = [f"{prefix}:{_tag(failed[i])}" for prefix, failed in stages
+                if failed[i] is not None]
+        out.append(f"device:{_tag(exc)}" if exc is not None
+                   else ";".join(tags) or "ok")
+    return out
+
+
+def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> List[dict]:
     """One dict of column -> string per grid point, in grid order.
 
-    No point aborts the sweep: a failure leaves the affected columns
-    empty and the status column carries a tag (``device:`` when the
-    transfer matrix or its occupations already fail).
+    The grid goes through ``block`` :data:`BLOCK` points at a time.  No
+    point aborts the sweep: a failure leaves the affected columns empty
+    and the status column carries a tag (``device:`` when the transfer
+    matrix or its occupations already fail).
     """
-    rows = []
+    grid = cfg.grid()
+    rows: List[dict] = []
     # overflow far above threshold is caught and tagged, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for value in cfg.grid():
-            row = {name: "" for name in columns}
-            row[columns[0]] = _fmt(value)
-            try:
-                problems = fill(row, make_tm(float(value)), cfg.tol)
-            except PdcModelError as exc:
-                problems = [f"device:{_tag(exc)}"]
-            row["status"] = ";".join(problems) if problems else "ok"
-            rows.append(row)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(grid), BLOCK):
+            values = grid[start:start + BLOCK]
+            cells, device, stages = block(cfg.device, values, cfg.tol)
+            cells[columns[0]] = _column(values)
+            cells["status"] = _status(device, stages)
+            rows.extend(dict(zip(columns, row))
+                        for row in zip(*(cells[c] for c in columns)))
     return rows
 
 
 def sweep_length_rows(cfg: SweepConfig) -> List[dict]:
     """Evaluate a length sweep of the continuous device (see
     :func:`_sweep_rows`)."""
-    base: ContinuousDevice = cfg.device
-
-    def make_tm(length: float):
-        return transfer_matrix(ContinuousDevice(
-            base.gamma1, base.gamma2, base.kappa, length), cfg.tol)
-
-    return _sweep_rows(cfg, LENGTH_COLUMNS, make_tm, _length_columns)
+    return _sweep_rows(cfg, LENGTH_COLUMNS, _length_block)
 
 
 def sweep_psi_rows(cfg: SweepConfig) -> List[dict]:
     """Evaluate an alignment-angle sweep of the cascaded device (see
     :func:`_sweep_rows`); the raw coherence of the cascade construction
     is negated so that full alignment reports +1."""
-    base: CascadedDevice = cfg.device
-
-    def make_tm(psi: float):
-        return cascaded_transfer_matrix(
-            CascadedDevice(base.r1, base.r2, psi), cfg.tol)
-
-    return _sweep_rows(cfg, PSI_COLUMNS, make_tm, _psi_columns)
+    return _sweep_rows(cfg, PSI_COLUMNS, _psi_block)
 
 
 def render_csv(columns: Sequence[str], rows: List[dict],
@@ -439,16 +472,22 @@ class OracleDeviation:
 
 def oracle_deviation(dev: ContinuousDevice, basis: FockBasis) -> OracleDeviation:
     """Compare ``dev``'s intensities and coherence on both routes; raises
-    :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff."""
-    tm = transfer_matrix(dev)
-    inten = mom.intensities(tm)
+    :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff.
+
+    The transfer-matrix side takes the vacuum moments once, as a batch of
+    one, for both the intensities and the coherence."""
+    ms = mom.vacuum_moments(transfer_matrix(dev).matrix[None])
+    raise_first(ms.failed)
+    coh, coh_failed = mom.coherence_of(ms, ms.failed)
     state = evolve(dev, basis)
     n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
-    dint = max(abs(n_s1 - inten.s1), abs(n_s2 - inten.s2),
-               abs(n_i1 - inten.i1), abs(n_i2 - inten.i2))
+    b = {mode: float(value[0]) for mode, value in ms.b.items()}
+    dint = max(abs(n_s1 - b["s1"]), abs(n_s2 - b["s2"]),
+               abs(n_i1 - b["i1"]), abs(n_i2 - b["i2"]))
     try:
         obs = fock_observables(state)
-        dgamma = abs(obs.coherence.gamma - mom.signal_coherence(tm).gamma)
+        raise_first(coh_failed)
+        dgamma = abs(obs.coherence.gamma - float(coh.gamma[0]))
     except UndefinedCoherenceError:
         dgamma = None
     return OracleDeviation(dint, dgamma, state.leakage)

@@ -20,13 +20,20 @@ stages: the largest vacuum moment left over is reported as the extraction
 ``residual``, and zero residual certifies that the scheme reproduces the
 device's output state exactly (the leftover matrix is passive, and passive
 stages act trivially on vacuum).
+
+Both extractions run on a stack of N transfer matrices at once
+(:func:`four_converter_stack`, :func:`interferometer_stack`): vectorized
+``arctanh`` inversions, batched stage products and, for the
+interferometer, one batched SVD.  Every check records its failure per
+row (see :mod:`coupledpdc.errors`); :func:`extract_four_converter` and
+:func:`extract_interferometer` are the same code on a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
@@ -35,17 +42,25 @@ from .device import TransferMatrix
 from .errors import (
     ExtractionResidualError,
     NonRealCorrelationError,
+    ParameterCapError,
     TanhDomainError,
+    first_of,
+    flag,
+    raise_first,
 )
-from .moments import vacuum_moments
+from .linalg import atan2, atanh, cosh, sinh, square
+from .moments import MomentSet, vacuum_moments
 
 __all__ = [
     "FourConverterScheme",
     "InterferometerScheme",
     "ExtractionReport",
+    "SchemeStack",
     "GainBound",
     "extract_four_converter",
     "extract_interferometer",
+    "four_converter_stack",
+    "interferometer_stack",
     "four_converter_matrix",
     "interferometer_matrix",
     "equivalence_residual",
@@ -53,12 +68,16 @@ __all__ = [
 ]
 
 
+def _cap_message(name: str, value: float, cap: float) -> str:
+    return (f"|{name}| = {abs(value)} is outside the sane inversion domain "
+            f"(cap {cap})")
+
+
 def _check_coupling(name: str, value: float, cap: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if abs(value) >= cap:
-        raise ValueError(f"|{name}| = {abs(value)} is outside the sane "
-                         f"inversion domain (cap {cap})")
+        raise ParameterCapError(_cap_message(name, value, cap))
 
 
 @dataclass(frozen=True)
@@ -121,6 +140,18 @@ class ExtractionReport:
 
 
 @dataclass(frozen=True)
+class SchemeStack:
+    """A scheme extraction over N transfer matrices: each scheme field
+    (in ``params``), ``residual`` and ``imag_residue`` as ``(N,)`` arrays,
+    and each row's first failure (see :mod:`coupledpdc.errors`)."""
+
+    params: Dict[str, np.ndarray]
+    residual: np.ndarray
+    imag_residue: np.ndarray
+    failed: np.ndarray
+
+
+@dataclass(frozen=True)
 class GainBound:
     """Photon-number bound linking a device to its extracted scheme.
 
@@ -138,134 +169,149 @@ class GainBound:
 
 # ---------------------------------------------------------------------------
 # back-propagation stages (each is the inverse of the corresponding forward
-# component; invert by negating the coupling or angle)
+# component; invert by negating the coupling or angle).  Scalar parameters
+# give one 4x4 matrix, ``(N,)`` arrays a stack of N.
 
-def crossed_stage(g4: float, g5: float) -> np.ndarray:
+def _stage(entries: dict) -> np.ndarray:
+    out = np.zeros(np.shape(entries[0, 0]) + (4, 4), dtype=complex)
+    for (i, j), value in entries.items():
+        out[..., i, j] = value
+    return out
+
+
+def crossed_stage(g4, g5) -> np.ndarray:
     """Undo the crossed converter pair (s1-i2 coupling g4, s2-i1 g5)."""
-    c4, s4 = math.cosh(g4), math.sinh(g4)
-    c5, s5 = math.cosh(g5), math.sinh(g5)
-    return np.array(
-        [
-            [c4, 0, 0, -s4],
-            [0, c5, -s5, 0],
-            [0, -s5, c5, 0],
-            [-s4, 0, 0, c4],
-        ],
-        dtype=complex,
-    )
+    c4, s4, c5, s5 = cosh(g4), sinh(g4), cosh(g5), sinh(g5)
+    return _stage({(0, 0): c4, (0, 3): -s4, (1, 1): c5, (1, 2): -s5,
+                   (2, 1): -s5, (2, 2): c5, (3, 0): -s4, (3, 3): c4})
 
 
-def direct_stage(g1: float, g2: float) -> np.ndarray:
+def direct_stage(g1, g2) -> np.ndarray:
     """Undo the direct converter pair (s1-i1 coupling g1, s2-i2 g2)."""
-    c1, s1 = math.cosh(g1), math.sinh(g1)
-    c2, s2 = math.cosh(g2), math.sinh(g2)
-    return np.array(
-        [
-            [c1, 0, -1j * s1, 0],
-            [0, c2, 0, -1j * s2],
-            [1j * s1, 0, c1, 0],
-            [0, 1j * s2, 0, c2],
-        ],
-        dtype=complex,
-    )
+    c1, s1, c2, s2 = cosh(g1), sinh(g1), cosh(g2), sinh(g2)
+    return _stage({(0, 0): c1, (0, 2): -1j * s1, (1, 1): c2, (1, 3): -1j * s2,
+                   (2, 0): 1j * s1, (2, 2): c1, (3, 1): 1j * s2, (3, 3): c2})
 
 
-def mixer_stage(phi_s: float, phi_i: float) -> np.ndarray:
+def mixer_stage(phi_s, phi_i) -> np.ndarray:
     """Undo the signal and idler mixers of the interferometer scheme."""
-    cs, ss = math.cos(phi_s), math.sin(phi_s)
-    ci, si = math.cos(phi_i), math.sin(phi_i)
-    return np.array(
-        [
-            [cs, -1j * ss, 0, 0],
-            [-1j * ss, cs, 0, 0],
-            [0, 0, ci, 1j * si],
-            [0, 0, 1j * si, ci],
-        ],
-        dtype=complex,
-    )
+    cs, ss = np.cos(phi_s), np.sin(phi_s)
+    ci, si = np.cos(phi_i), np.sin(phi_i)
+    return _stage({(0, 0): cs, (0, 1): -1j * ss, (1, 0): -1j * ss, (1, 1): cs,
+                   (2, 2): ci, (2, 3): 1j * si, (3, 2): 1j * si, (3, 3): ci})
 
 
 # ---------------------------------------------------------------------------
-# shared helpers (back-propagated intermediates stay raw arrays: the
-# extraction residual, not a symplectic check, certifies them)
+# shared batch steps (back-propagated intermediates stay raw arrays: the
+# extraction residual, not a symplectic check, certifies them).  The steps
+# flag failing rows in the ``failed`` record they are given, except
+# ``_undo_direct``, which returns an extended copy.
 
-def _vanishing_residual(matrix: np.ndarray, tol: Tolerances) -> float:
-    """Largest vacuum moment of ``matrix``; zero iff it is passive."""
-    return vacuum_moments(matrix, tol).max_abs()
-
-
-def _invert_tanh(arg: complex, tol: Tolerances,
-                 *, what: str) -> tuple[float, float]:
-    """Solve ``tanh(2g) = arg`` for real g.
+def _invert_tanh(arg: np.ndarray, failed: np.ndarray, tol: Tolerances,
+                 *, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``tanh(2g) = arg`` for real g, per row.
 
     Returns ``(g, imag_residue)``.  A non-real argument, or one reaching
-    past +-1 by more than the rounding allowance, is an error.
+    past +-1 by more than the rounding allowance, is a failure; an
+    argument past +-1 within it is clamped.
     """
-    imag = abs(arg.imag)
-    if imag > tol.imag_correlation:
-        raise NonRealCorrelationError(
-            f"{what}: inversion argument has imaginary part {imag:.3e}"
-        )
-    x = float(arg.real)
-    if abs(x) >= 1.0:
-        if abs(x) - 1.0 > tol.tanh_overshoot:
-            raise TanhDomainError(
-                f"{what}: |tanh argument| = {abs(x)} exceeds 1 beyond the "
-                "rounding allowance"
-            )
-        x = math.copysign(1.0 - tol.tanh_clamp, x)
-    return 0.5 * math.atanh(x), imag
+    imag = np.abs(arg.imag)
+    flag(failed, imag > tol.imag_correlation, lambda i: NonRealCorrelationError(
+        f"{what}: inversion argument has imaginary part {imag[i]:.3e}"))
+    x = arg.real
+    over = np.abs(x) >= 1.0
+    flag(failed, over & (np.abs(x) - 1.0 > tol.tanh_overshoot),
+         lambda i: TanhDomainError(
+             f"{what}: |tanh argument| = {abs(x[i])} exceeds 1 beyond the "
+             "rounding allowance"))
+    x = np.where(over, np.copysign(1.0 - tol.tanh_clamp, x), x)
+    return 0.5 * atanh(x), imag
 
 
-def _direct_gains(matrix: np.ndarray,
-                  tol: Tolerances) -> tuple[float, float, float]:
-    """Couplings of the direct converter pair that decorrelate ``matrix``.
+def _undo_direct(partial: np.ndarray, failed: np.ndarray, tol: Tolerances,
+                 scheme: str):
+    """Direct converter couplings that decorrelate ``partial``, and the
+    residual left once they are undone too.
 
     Solves the two vanishing conditions for the s1-i1 and s2-i2 pair
-    correlations; the inversion arguments are real exactly when those
-    correlations are purely imaginary.
+    correlations (the inversion arguments are real exactly when those
+    correlations are purely imaginary), then takes the largest vacuum
+    moment of the fully back-propagated stack.  Returns ``(g1, g2,
+    imag_residue, residual, failed)``.
     """
-    ms = vacuum_moments(matrix, tol)
+    ms = vacuum_moments(partial, tol)
+    failed = first_of(failed, ms.failed)
     t1 = -2j * ms.d["s1i1"] / (ms.b["s1"] + ms.b["i1"] + 1.0)
     t2 = -2j * ms.d["s2i2"] / (ms.b["s2"] + ms.b["i2"] + 1.0)
-    g1, r1 = _invert_tanh(t1, tol, what="direct gain g1")
-    g2, r2 = _invert_tanh(t2, tol, what="direct gain g2")
-    return g1, g2, max(r1, r2)
+    g1, imag1 = _invert_tanh(t1, failed, tol, what="direct gain g1")
+    g2, imag2 = _invert_tanh(t2, failed, tol, what="direct gain g2")
+    final = vacuum_moments(direct_stage(g1, g2) @ partial, tol)
+    failed = first_of(failed, final.failed)
+    residual = final.max_abs()
+    flag(failed, residual > tol.extraction_residual_max,
+         lambda i: ExtractionResidualError(
+             f"{scheme} residual {residual[i]:.3e} exceeds "
+             f"{tol.extraction_residual_max:.0e}"))
+    return g1, g2, np.maximum(imag1, imag2), residual, failed
+
+
+def _flag_caps(failed: np.ndarray, couplings: Mapping[str, np.ndarray],
+               tol: Tolerances) -> None:
+    cap = tol.scheme_parameter_cap
+    for name, value in couplings.items():
+        flag(failed, np.abs(value) >= cap, lambda i: ParameterCapError(
+            _cap_message(name, value[i], cap)))
+
+
+def _extract_one(extract, tm: TransferMatrix, tol: Tolerances, scheme_type,
+                 branch: str) -> ExtractionReport:
+    """``extract`` on a batch of one: its report, or its failure raised."""
+    m = tm.matrix[None]
+    ms = vacuum_moments(m, tol)
+    stack = extract(m, ms, ms.failed, tol)
+    raise_first(stack.failed)
+    return ExtractionReport(
+        scheme=scheme_type(**{k: float(v[0]) for k, v in stack.params.items()}),
+        residual=float(stack.residual[0]),
+        branch=branch,
+        imag_residue=float(stack.imag_residue[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # four-converter extraction
 
-def extract_four_converter(tm: TransferMatrix,
-                           tol: Tolerances = TOL) -> ExtractionReport:
-    """Extract the four-converter scheme from a transfer matrix.
+def four_converter_stack(m: np.ndarray, ms: MomentSet, failed: np.ndarray,
+                         tol: Tolerances = TOL) -> SchemeStack:
+    """Four-converter scheme of each matrix of an ``(N, 4, 4)`` stack.
 
-    The crossed couplings follow from requiring the back-propagated
-    s1-i2 and s2-i1 pair correlations to vanish, the direct couplings
-    from the remaining s1-i1 and s2-i2 conditions; the residual is taken
-    after the final back-propagation, where every vacuum moment must be
-    zero.
+    ``ms`` are the stack's vacuum moments and ``failed`` the failures
+    recorded upstream.  The crossed couplings follow from requiring the
+    back-propagated s1-i2 and s2-i1 pair correlations to vanish, the
+    direct couplings from the remaining s1-i1 and s2-i2 conditions; the
+    residual is taken after the final back-propagation, where every
+    vacuum moment must be zero.  Each coupling must stay below
+    ``tol.scheme_parameter_cap``.
     """
-    m = tm.matrix
-    ms = vacuum_moments(tm, tol)
+    failed = failed.copy()
     t4 = 2.0 * ms.d["s1i2"] / (ms.b["s1"] + ms.b["i2"] + 1.0)
     t5 = 2.0 * ms.d["s2i1"] / (ms.b["s2"] + ms.b["i1"] + 1.0)
-    g4, imag4 = _invert_tanh(t4, tol, what="crossed gain g4")
-    g5, imag5 = _invert_tanh(t5, tol, what="crossed gain g5")
-    partial = crossed_stage(g4, g5) @ m
-    g1, g2, imag12 = _direct_gains(partial, tol)
-    residual = _vanishing_residual(direct_stage(g1, g2) @ partial, tol)
-    if residual > tol.extraction_residual_max:
-        raise ExtractionResidualError(
-            f"four-converter residual {residual:.3e} exceeds "
-            f"{tol.extraction_residual_max:.0e}"
-        )
-    return ExtractionReport(
-        scheme=FourConverterScheme(g1=g1, g2=g2, g4=g4, g5=g5),
-        residual=residual,
-        branch="closed-form",
-        imag_residue=max(imag4, imag5, imag12),
-    )
+    g4, imag4 = _invert_tanh(t4, failed, tol, what="crossed gain g4")
+    g5, imag5 = _invert_tanh(t5, failed, tol, what="crossed gain g5")
+    g1, g2, imag12, residual, failed = _undo_direct(
+        crossed_stage(g4, g5) @ m, failed, tol, "four-converter")
+    params = {"g1": g1, "g2": g2, "g4": g4, "g5": g5}
+    _flag_caps(failed, params, tol)
+    return SchemeStack(params, residual,
+                       np.maximum(np.maximum(imag4, imag5), imag12), failed)
+
+
+def extract_four_converter(tm: TransferMatrix,
+                           tol: Tolerances = TOL) -> ExtractionReport:
+    """Extract the four-converter scheme from a transfer matrix (see
+    :func:`four_converter_stack`); raises the first failed check."""
+    return _extract_one(four_converter_stack, tm, tol, FourConverterScheme,
+                        "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +322,26 @@ def extract_four_converter(tm: TransferMatrix,
 _EQUAL_SINGULAR = 1e-12
 
 
-def _mixer_angle(v0: complex, v1: complex, sign: float) -> float:
+def _mixer_angle(v0: np.ndarray, v1: np.ndarray, sign: float) -> np.ndarray:
     """Angle in (-pi/2, pi/2] of the mixer column ``(cos phi, sign*i sin
-    phi)`` to which ``(v0, v1)`` is proportional.
+    phi)`` to which ``(v0, v1)`` is proportional, per row.
 
     Uses the phase-invariant combinations ``|v0|^2 - |v1|^2`` (cos 2phi)
     and ``2 Im(v1 conj v0)`` (sign * sin 2phi), so neither component's
     phase is fixed and a vanishing component needs no special case.
     """
-    phi = 0.5 * math.atan2(2.0 * sign * (v1 * v0.conjugate()).imag,
-                           abs(v0) ** 2 - abs(v1) ** 2)
-    return phi + math.pi if phi <= -math.pi / 2 else phi
+    phi = 0.5 * atan2(2.0 * sign * (v1 * np.conj(v0)).imag,
+                      square(np.abs(v0)) - square(np.abs(v1)))
+    return np.where(phi <= -math.pi / 2, phi + math.pi, phi)
 
 
-def extract_interferometer(tm: TransferMatrix,
-                           tol: Tolerances = TOL) -> ExtractionReport:
-    """Extract the interferometer scheme from a transfer matrix.
+def interferometer_stack(m: np.ndarray, ms: MomentSet, failed: np.ndarray,
+                         tol: Tolerances = TOL) -> SchemeStack:
+    """Interferometer scheme of each matrix of an ``(N, 4, 4)`` stack.
 
-    The pair-correlation matrix ``D = [[d_s1i1, d_s1i2], [d_s2i1,
-    d_s2i2]] = M_ss M_is^H`` of the scheme factors as
+    ``ms`` are the stack's vacuum moments and ``failed`` the failures
+    recorded upstream.  The pair-correlation matrix ``D = [[d_s1i1,
+    d_s1i2], [d_s2i1, d_s2i2]] = M_ss M_is^H`` of the scheme factors as
     ``Rs diag(i cosh g_k sinh g_k) Ri^H``, with ``Rs`` and ``Ri`` the
     forward signal and idler mixers: an SVD of ``D`` with singular values
     ``sinh(2|g_k|)/2``.  The mixing angles come from the first left and
@@ -312,36 +359,44 @@ def extract_interferometer(tm: TransferMatrix,
     ``phi_s = 0``, whose idler mixer is read from the first row of ``D``.
     A zero second singular value (a fully aligned cascade) needs no
     special case: the angles depend on the first singular vectors alone.
+    """
+    failed = failed.copy()
+    d = ms.d
+    pairs = np.stack([d["s1i1"], d["s1i2"], d["s2i1"], d["s2i2"]],
+                     axis=-1).reshape(-1, 2, 2)
+    # a failed row may hold non-finite moments, which would stop the
+    # batched SVD for every row
+    pairs[~np.equal(failed, None)] = 0.0
+    left, sigma, right_h = np.linalg.svd(pairs)
+    top = sigma[:, 0]
+    equal = top - sigma[:, 1] <= _EQUAL_SINGULAR * top
+    # equal singular values: D is sigma times a unitary, and with Rs = 1
+    # Ri's first column is proportional to the conjugated first row of D
+    first_row = np.conj(pairs[:, 0]) / np.where(top == 0.0, 1.0, top)[:, None]
+    phi_s = np.where(equal, 0.0,
+                     _mixer_angle(left[:, 0, 0], left[:, 1, 0], 1.0))
+    phi_i = np.where(equal,
+                     _mixer_angle(first_row[:, 0], first_row[:, 1], -1.0),
+                     _mixer_angle(np.conj(right_h[:, 0, 0]),
+                                  np.conj(right_h[:, 0, 1]), -1.0))
+    g1, g2, imag, residual, failed = _undo_direct(
+        mixer_stage(phi_s, phi_i) @ m, failed, tol, "interferometer")
+    _flag_caps(failed, {"g1": g1, "g2": g2}, tol)
+    params = {"g1": g1, "g2": g2, "phi_s": phi_s, "phi_i": phi_i}
+    return SchemeStack(params, residual, imag, failed)
 
-    Raises :class:`~coupledpdc.errors.ExtractionResidualError` when the
+
+def extract_interferometer(tm: TransferMatrix,
+                           tol: Tolerances = TOL) -> ExtractionReport:
+    """Extract the interferometer scheme from a transfer matrix (see
+    :func:`interferometer_stack`).
+
+    Raises the first failed check, for example
+    :class:`~coupledpdc.errors.ExtractionResidualError` when the
     back-propagated moments do not vanish to tolerance.
     """
-    d = vacuum_moments(tm, tol).d
-    pairs = np.array([[d["s1i1"], d["s1i2"]], [d["s2i1"], d["s2i2"]]])
-    left, sigma, right_h = np.linalg.svd(pairs)
-    if sigma[0] - sigma[1] <= _EQUAL_SINGULAR * sigma[0]:
-        # D is sigma times a unitary: with Rs = 1, Ri's first column is
-        # proportional to the conjugated first row of D
-        phi_s = 0.0
-        phi_i = _mixer_angle(*(pairs[0].conj() / (sigma[0] or 1.0)), -1.0)
-    else:
-        phi_s = _mixer_angle(*left[:, 0], 1.0)
-        phi_i = _mixer_angle(*right_h[0].conj(), -1.0)
-    partial = mixer_stage(phi_s, phi_i) @ tm.matrix
-    g1, g2, imag = _direct_gains(partial, tol)
-    residual = _vanishing_residual(direct_stage(g1, g2) @ partial, tol)
-    if residual > tol.extraction_residual_max:
-        raise ExtractionResidualError(
-            f"interferometer residual {residual:.3e} exceeds "
-            f"{tol.extraction_residual_max:.0e}"
-        )
-    return ExtractionReport(
-        scheme=InterferometerScheme(g1=g1, g2=g2,
-                                    phi_s=phi_s, phi_i=phi_i),
-        residual=residual,
-        branch="svd",
-        imag_residue=imag,
-    )
+    return _extract_one(interferometer_stack, tm, tol, InterferometerScheme,
+                        "svd")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +438,7 @@ def equivalence_residual(tm: TransferMatrix, scheme: Scheme,
             @ mixer_stage(scheme.phi_s, scheme.phi_i) @ m
     else:
         raise TypeError(f"unsupported scheme type {type(scheme).__name__}")
-    return _vanishing_residual(undone, tol)
+    return vacuum_moments(undone, tol).max_abs()
 
 
 def gain_bound(tm: TransferMatrix, scheme: FourConverterScheme,

@@ -14,6 +14,10 @@ Mode convention, used everywhere in this package: the operator vector is
 followed by creators for the two idler modes.  In this mixed basis a
 physical (commutator-preserving) transformation ``M`` satisfies
 ``M eta M^H = eta`` with ``eta = diag(+1, +1, -1, -1)``.
+
+The sweep engine builds a block of grid points as one ``(N, 4, 4)``
+stack (:func:`transfer_stack`, :func:`cascaded_stack`) and validates it
+with :func:`stack_failures`, the checks of :class:`TransferMatrix`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TOL, Tolerances
-from .errors import NonFiniteMatrixError, SymplecticDriftError
+from .errors import (
+    NonFiniteMatrixError,
+    SymplecticDriftError,
+    flag,
+    no_failures,
+    raise_first,
+)
 from .linalg import as_complex_matrix, expm
 
 __all__ = [
@@ -37,6 +47,9 @@ __all__ = [
     "build_hamiltonian",
     "transfer_matrix",
     "cascaded_transfer_matrix",
+    "transfer_stack",
+    "cascaded_stack",
+    "stack_failures",
     "classify_regime",
     "symplectic_residual",
 ]
@@ -113,10 +126,35 @@ class Regime(enum.Enum):
     AT_THRESHOLD = "at-threshold"
 
 
+def _symplectic_residuals(m: np.ndarray) -> np.ndarray:
+    gap = m @ ETA @ np.conj(m).swapaxes(-1, -2) - ETA
+    return np.abs(gap).max(axis=(-2, -1))
+
+
 def symplectic_residual(m: np.ndarray) -> float:
     """Largest element-wise violation of ``M eta M^H = eta``."""
     m = as_complex_matrix(m, square=True)
-    return float(np.max(np.abs(m @ ETA @ m.conj().T - ETA)))
+    return float(_symplectic_residuals(m[None])[0])
+
+
+def stack_failures(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """First failure of each matrix of an ``(N, 4, 4)`` stack under the
+    :class:`TransferMatrix` checks (see :mod:`coupledpdc.errors`)."""
+    failed = no_failures(len(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.abs(m).max(axis=(1, 2))
+        allowed = tol.symplectic * np.maximum(1.0, peak * peak)
+        resid = _symplectic_residuals(m)
+    ok = np.isfinite(resid) & (resid <= allowed)
+    if not ok.all():
+        flag(failed, ~np.isfinite(m).all(axis=(1, 2)),
+             lambda i: NonFiniteMatrixError("matrix has non-finite entries"))
+        flag(failed, ~np.isfinite(resid), lambda i: NonFiniteMatrixError(
+            f"symplectic residual overflowed at max|M| = {peak[i]:.3e}"))
+        flag(failed, ~ok, lambda i: SymplecticDriftError(
+            f"matrix is not symplectic: residual {resid[i]:.3e} "
+            f"(allowed {allowed[i]:.3e})"))
+    return failed
 
 
 @dataclass(frozen=True)
@@ -140,17 +178,7 @@ class TransferMatrix:
         m = as_complex_matrix(self.matrix, square=True)
         if m.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {m.shape}")
-        peak = float(np.max(np.abs(m)))
-        scale = max(1.0, peak * peak)
-        resid = symplectic_residual(m)
-        if not math.isfinite(resid):
-            raise NonFiniteMatrixError(
-                f"symplectic residual overflowed at max|M| = {peak:.3e}")
-        if resid > self.tol.symplectic * scale:
-            raise SymplecticDriftError(
-                f"matrix is not symplectic: residual {resid:.3e} "
-                f"(allowed {self.tol.symplectic * scale:.3e})"
-            )
+        raise_first(stack_failures(m[None], self.tol))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -178,8 +206,15 @@ def transfer_matrix(dev: ContinuousDevice, tol: Tolerances = TOL) -> TransferMat
     return TransferMatrix(expm(1j * h * dev.length), tol=tol)
 
 
-def cascaded_transfer_matrix(dev: CascadedDevice, tol: Tolerances = TOL) -> TransferMatrix:
-    """Transfer matrix of the cascaded device with partially aligned idlers.
+def transfer_stack(dev: ContinuousDevice, lengths: np.ndarray) -> np.ndarray:
+    """:func:`transfer_matrix` of ``dev``'s couplings at each of
+    ``lengths``, bit-identical, from one stacked exponential."""
+    return expm(1j * build_hamiltonian(dev) * lengths[:, None, None])
+
+
+def cascaded_stack(dev: CascadedDevice, psis: np.ndarray) -> np.ndarray:
+    """Cascade transfer matrices of ``dev``'s crystals at each alignment
+    angle of ``psis``.
 
     Rows are the input-output relations of the two-crystal cascade written
     in the mixed basis; the idler rows are the conjugated relations for
@@ -187,26 +222,31 @@ def cascaded_transfer_matrix(dev: CascadedDevice, tol: Tolerances = TOL) -> Tran
     """
     ch1, sh1 = math.cosh(dev.r1), math.sinh(dev.r1)
     ch2, sh2 = math.cosh(dev.r2), math.sinh(dev.r2)
-    c, s = math.cos(dev.psi), math.sin(dev.psi)
-    m = np.zeros((4, 4), dtype=complex)
+    c, s = np.cos(psis), np.sin(psis)
+    m = np.zeros(psis.shape + (4, 4), dtype=complex)
     # A_s1_out = A_s1 ch1 + i A_i1^+ sh1
-    m[0, 0] = ch1
-    m[0, 2] = 1j * sh1
+    m[:, 0, 0] = ch1
+    m[:, 0, 2] = 1j * sh1
     # A_s2_out = -i A_s1 sh1 s sh2 + A_s2 ch2 + A_i1^+ ch1 s sh2 + i A_i2^+ c sh2
-    m[1, 0] = -1j * sh1 * s * sh2
-    m[1, 1] = ch2
-    m[1, 2] = ch1 * s * sh2
-    m[1, 3] = 1j * c * sh2
+    m[:, 1, 0] = -1j * sh1 * s * sh2
+    m[:, 1, 1] = ch2
+    m[:, 1, 2] = ch1 * s * sh2
+    m[:, 1, 3] = 1j * c * sh2
     # A_i1_out = i A_s1^+ sh1 c + A_i1 ch1 c + i A_i2 s   (conjugated below)
-    m[2, 0] = -1j * sh1 * c
-    m[2, 2] = ch1 * c
-    m[2, 3] = -1j * s
+    m[:, 2, 0] = -1j * sh1 * c
+    m[:, 2, 2] = ch1 * c
+    m[:, 2, 3] = -1j * s
     # A_i2_out = -A_s1^+ sh1 s ch2 + i A_s2^+ sh2 + i A_i1 ch1 s ch2 + A_i2 c ch2
-    m[3, 0] = -sh1 * s * ch2
-    m[3, 1] = -1j * sh2
-    m[3, 2] = -1j * ch1 * s * ch2
-    m[3, 3] = c * ch2
-    return TransferMatrix(m, tol=tol)
+    m[:, 3, 0] = -sh1 * s * ch2
+    m[:, 3, 1] = -1j * sh2
+    m[:, 3, 2] = -1j * ch1 * s * ch2
+    m[:, 3, 3] = c * ch2
+    return m
+
+
+def cascaded_transfer_matrix(dev: CascadedDevice, tol: Tolerances = TOL) -> TransferMatrix:
+    """Transfer matrix of the cascaded device with partially aligned idlers."""
+    return TransferMatrix(cascaded_stack(dev, np.array([dev.psi]))[0], tol=tol)
 
 
 def classify_regime(dev: ContinuousDevice, tol: Tolerances = TOL) -> Regime:

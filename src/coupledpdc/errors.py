@@ -1,4 +1,16 @@
-"""Exception types raised by the coupledpdc package."""
+"""Exception types raised by the coupledpdc package, and the per-row
+failure records of the batched engine.
+
+A batch of N rows records its failures in an object array: entry ``i``
+is ``None`` while row ``i`` passes, else the exception that row raises on
+its own.  Checks run in the order a single row runs them and flag only
+rows without a failure, so each row keeps its first one; the
+single-point functions are batches of one that raise ``failed[0]``.
+"""
+
+from typing import Callable
+
+import numpy as np
 
 
 class PdcModelError(Exception):
@@ -50,3 +62,39 @@ class SymplecticDriftError(PdcModelError, ValueError):
 class PairConservationError(PdcModelError, ValueError):
     """Signal and idler photon totals differ beyond the tolerance scaled
     to the occupations."""
+
+
+class CoherenceBoundError(PdcModelError, ValueError):
+    """A computed signal coherence exceeds the unit bound by more than
+    the rounding slack."""
+
+
+class ParameterCapError(PdcModelError, ValueError):
+    """An extracted scheme coupling reaches the sanity cap of the
+    inversion domain."""
+
+
+def no_failures(n: int) -> np.ndarray:
+    """Failure record of a batch of ``n`` rows that all pass so far."""
+    return np.empty(n, dtype=object)  # object arrays start as None
+
+
+def flag(failed: np.ndarray, mask: np.ndarray,
+         make: Callable[[int], PdcModelError]) -> None:
+    """Record ``make(i)`` for each row ``i`` of ``mask`` that has no
+    failure yet (in place)."""
+    if mask.any():
+        for i in mask.nonzero()[0]:
+            if failed[i] is None:
+                failed[i] = make(int(i))
+
+
+def first_of(failed: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Row-wise first failure of two records."""
+    return np.where(np.equal(failed, None), later, failed)
+
+
+def raise_first(failed: np.ndarray) -> None:
+    """Raise the failure of a batch of one, if it has one."""
+    if failed[0] is not None:
+        raise failed[0]

@@ -11,30 +11,40 @@ combination of transfer-matrix elements.  In the mixed basis
 
 Signal-signal and idler-idler anomalous correlations vanish identically
 for this device class, as do normal signal-idler correlations.
+
+The sweep engine computes the moments of a whole block once, as ``(N,)``
+arrays in one :class:`MomentSet`, and feeds them to the intensities, the
+coherence (:func:`coherence_of`) and both scheme extractions.  The
+single-matrix functions are the same code on a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .config import TOL, Tolerances
 from .device import TransferMatrix
 from .errors import (
+    CoherenceBoundError,
     NonFiniteMatrixError,
     PairConservationError,
     UndefinedCoherenceError,
+    flag,
+    no_failures,
+    raise_first,
 )
+from .linalg import square
 
 __all__ = [
     "MomentSet",
     "CoherenceResult",
     "Intensities",
     "vacuum_moments",
+    "coherence_of",
     "signal_coherence",
     "intensities",
 ]
@@ -49,21 +59,24 @@ class MomentSet:
     anomalous correlation ``<A_j A_k>``; for ``s1s2`` and ``i1i2`` the
     normal correlation ``<A_j^+ A_k>``.  ``b`` maps a mode label to its
     occupation ``<A_j^+ A_j>`` (real, >= 0).
+
+    For one matrix the values are scalars; for a stack of N matrices they
+    are ``(N,)`` arrays and ``failed`` holds each matrix's first failure
+    (see :mod:`coupledpdc.errors`).
     """
 
-    d: Mapping[str, complex]
-    b: Mapping[str, float]
+    d: Mapping[str, Union[complex, np.ndarray]]
+    b: Mapping[str, Union[float, np.ndarray]]
+    failed: Optional[np.ndarray] = None
 
-    def max_abs(self) -> float:
-        """Largest magnitude over all stored moments.
+    def max_abs(self) -> Union[float, np.ndarray]:
+        """Largest magnitude over all stored moments (per matrix of a
+        stack).
 
         Zero exactly when the transformation is passive on vacuum, which
         is the back-propagation target of the scheme extractions.
         """
-        return max(
-            max(abs(v) for v in self.d.values()),
-            max(abs(v) for v in self.b.values()),
-        )
+        return np.max(np.abs([*self.d.values(), *self.b.values()]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -74,7 +87,8 @@ class CoherenceResult:
     (the imaginary unit is factored out so that real-coupling devices give
     a real quantity); ``imag_residue`` is the magnitude of the discarded
     imaginary part; ``fragile`` flags occupations so small that the ratio
-    is numerically delicate.
+    is numerically delicate.  :func:`coherence_of` fills the fields with
+    ``(N,)`` arrays.
     """
 
     gamma: float
@@ -96,43 +110,84 @@ class Intensities:
         return self.s1 + self.s2
 
 
+# each correlation is the sum over two columns c of m[j, c] conj(m[k, c]),
+# each occupation the sum over two columns c of |m[j, c]|^2; as indices
+# into the flattened 4x4 matrix
+_PAIRS = {"s1i1": (0, 2, 0), "s1i2": (0, 3, 0), "s2i1": (1, 2, 0),
+          "s2i2": (1, 3, 0), "s1s2": (1, 0, 2), "i1i2": (2, 3, 0)}
+_MODES = {"s1": (0, 2), "s2": (1, 2), "i1": (2, 0), "i2": (3, 0)}
+_PAIR_J = np.array([[4 * j + c, 4 * j + c + 1] for j, _, c in _PAIRS.values()])
+_PAIR_K = np.array([[4 * k + c, 4 * k + c + 1] for _, k, c in _PAIRS.values()])
+_MODE_J = np.array([[4 * j + c, 4 * j + c + 1] for j, c in _MODES.values()])
+
+
+def _stack(m: np.ndarray, tol: Tolerances) -> MomentSet:
+    """Moments of each matrix of an ``(N, 4, 4)`` stack, with failures."""
+    flat = m.reshape(len(m), 16)
+    terms = flat[:, _PAIR_J] * np.conj(flat[:, _PAIR_K])
+    squares = square(np.abs(flat[:, _MODE_J]))
+    d = dict(zip(_PAIRS, (terms[:, :, 0] + terms[:, :, 1]).T))
+    b = dict(zip(_MODES, (squares[:, :, 0] + squares[:, :, 1]).T))
+    signal = b["s1"] + b["s2"]
+    pair_gap = np.abs(signal - b["i1"] - b["i2"])
+    failed = no_failures(len(m))
+    ok = pair_gap <= tol.pair_conservation * np.maximum(1.0, signal)
+    if not ok.all():
+        flag(failed, ~np.isfinite(pair_gap), lambda i: NonFiniteMatrixError(
+            f"occupations overflowed: signal total {signal[i]:.3e}"))
+        flag(failed, ~ok, lambda i: PairConservationError(
+            "pair production must create equal signal and idler totals; "
+            f"gap {pair_gap[i]:.3e} at signal total {signal[i]:.3e}"))
+    return MomentSet(d=MappingProxyType(d), b=MappingProxyType(b),
+                     failed=failed)
+
+
 def vacuum_moments(tm: Union[TransferMatrix, np.ndarray],
                    tol: Tolerances = TOL) -> MomentSet:
     """All non-vanishing vacuum-input second moments of ``tm``'s output.
 
-    ``tm`` is a validated :class:`TransferMatrix` or, for the scheme
-    extractions' back-propagated intermediates, a raw 4x4 array.  Raises
-    :class:`~coupledpdc.errors.NonFiniteMatrixError` when an occupation
-    overflows and :class:`~coupledpdc.errors.PairConservationError` when
-    the signal and idler totals differ by more than
-    ``tol.pair_conservation`` times ``max(1, signal total)``.
+    ``tm`` is a validated :class:`TransferMatrix`, a raw 4x4 array (the
+    scheme extractions' back-propagated intermediates), or an
+    ``(N, 4, 4)`` stack of either kind.  The checks: an occupation that
+    overflows is a :class:`~coupledpdc.errors.NonFiniteMatrixError`, and
+    signal and idler totals that differ by more than
+    ``tol.pair_conservation`` times ``max(1, signal total)`` a
+    :class:`~coupledpdc.errors.PairConservationError`.  A single matrix
+    raises them; a stack records them per matrix in ``failed``.
     """
-    m = tm.matrix if isinstance(tm, TransferMatrix) else tm
-    d = {
-        "s1i1": m[0, 0] * np.conj(m[2, 0]) + m[0, 1] * np.conj(m[2, 1]),
-        "s1i2": m[0, 0] * np.conj(m[3, 0]) + m[0, 1] * np.conj(m[3, 1]),
-        "s2i1": m[1, 0] * np.conj(m[2, 0]) + m[1, 1] * np.conj(m[2, 1]),
-        "s2i2": m[1, 0] * np.conj(m[3, 0]) + m[1, 1] * np.conj(m[3, 1]),
-        "s1s2": np.conj(m[0, 2]) * m[1, 2] + np.conj(m[0, 3]) * m[1, 3],
-        "i1i2": m[2, 0] * np.conj(m[3, 0]) + m[2, 1] * np.conj(m[3, 1]),
-    }
-    b = {
-        "s1": float(abs(m[0, 2]) ** 2 + abs(m[0, 3]) ** 2),
-        "s2": float(abs(m[1, 2]) ** 2 + abs(m[1, 3]) ** 2),
-        "i1": float(abs(m[2, 0]) ** 2 + abs(m[2, 1]) ** 2),
-        "i2": float(abs(m[3, 0]) ** 2 + abs(m[3, 1]) ** 2),
-    }
-    signal = b["s1"] + b["s2"]
-    pair_gap = abs(signal - b["i1"] - b["i2"])
-    if not math.isfinite(pair_gap):
-        raise NonFiniteMatrixError(
-            f"occupations overflowed: signal total {signal:.3e}")
-    if pair_gap > tol.pair_conservation * max(1.0, signal):
-        raise PairConservationError(
-            "pair production must create equal signal and idler totals; "
-            f"gap {pair_gap:.3e} at signal total {signal:.3e}"
-        )
-    return MomentSet(d=MappingProxyType(d), b=MappingProxyType(b))
+    m = tm.matrix if isinstance(tm, TransferMatrix) else np.asarray(tm)
+    if m.ndim == 3:
+        return _stack(m, tol)
+    ms = _stack(m[None], tol)
+    raise_first(ms.failed)
+    return MomentSet(d=MappingProxyType({k: v[0] for k, v in ms.d.items()}),
+                     b=MappingProxyType({k: v[0] for k, v in ms.b.items()}))
+
+
+def coherence_of(ms: MomentSet, failed: np.ndarray,
+                 tol: Tolerances = TOL) -> tuple[CoherenceResult, np.ndarray]:
+    """Signal coherence of each matrix of a stack's moments.
+
+    ``failed`` holds the failures already recorded upstream; the returned
+    record adds :class:`~coupledpdc.errors.UndefinedCoherenceError` where
+    either signal occupation is at most ``tol.coherence_epsilon`` and
+    :class:`~coupledpdc.errors.CoherenceBoundError` where ``|gamma|``
+    exceeds ``1 + tol.coherence_bound_slack``.
+    """
+    failed = failed.copy()
+    n1, n2 = ms.b["s1"], ms.b["s2"]
+    low = np.minimum(n1, n2)
+    undefined = low <= tol.coherence_epsilon
+    flag(failed, undefined, lambda i: UndefinedCoherenceError(
+        f"signal occupations ({n1[i]:.3e}, {n2[i]:.3e}) are too small to "
+        "normalize the cross-correlation"))
+    value = -1j * ms.d["s1s2"] / np.sqrt(np.where(undefined, 1.0, n1 * n2))
+    gamma = value.real
+    flag(failed, np.abs(gamma) > 1.0 + tol.coherence_bound_slack,
+         lambda i: CoherenceBoundError(
+             f"|gamma| = {abs(gamma[i])} violates the unit bound"))
+    return CoherenceResult(gamma=gamma, imag_residue=np.abs(value.imag),
+                           fragile=low < tol.coherence_fragile), failed
 
 
 def signal_coherence(tm: TransferMatrix, tol: Tolerances = TOL) -> CoherenceResult:
@@ -140,24 +195,16 @@ def signal_coherence(tm: TransferMatrix, tol: Tolerances = TOL) -> CoherenceResu
 
     Raises :class:`~coupledpdc.errors.UndefinedCoherenceError` when either
     signal occupation is below ``tol.coherence_epsilon`` (the 0/0 case at
-    zero length or for an absent, uncoupled converter).
+    zero length or for an absent, uncoupled converter), and
+    :class:`~coupledpdc.errors.CoherenceBoundError` when ``|gamma|``
+    breaks the unit bound beyond rounding.
     """
-    ms = vacuum_moments(tm, tol)
-    n1, n2 = ms.b["s1"], ms.b["s2"]
-    if n1 <= tol.coherence_epsilon or n2 <= tol.coherence_epsilon:
-        raise UndefinedCoherenceError(
-            f"signal occupations ({n1:.3e}, {n2:.3e}) are too small to "
-            "normalize the cross-correlation"
-        )
-    value = -1j * ms.d["s1s2"] / np.sqrt(n1 * n2)
-    gamma = float(value.real)
-    if abs(gamma) > 1.0 + tol.coherence_bound_slack:
-        raise ValueError(f"|gamma| = {abs(gamma)} violates the unit bound")
-    return CoherenceResult(
-        gamma=gamma,
-        imag_residue=float(abs(value.imag)),
-        fragile=min(n1, n2) < tol.coherence_fragile,
-    )
+    ms = vacuum_moments(tm.matrix[None], tol)
+    coh, failed = coherence_of(ms, ms.failed, tol)
+    raise_first(failed)
+    return CoherenceResult(gamma=float(coh.gamma[0]),
+                           imag_residue=float(coh.imag_residue[0]),
+                           fragile=bool(coh.fragile[0]))
 
 
 def intensities(tm: TransferMatrix, tol: Tolerances = TOL) -> Intensities:

@@ -32,7 +32,11 @@ from .errors import (
     DegenerateGeometryError,
     UndefinedCoherenceError,
     ZeroSchemeError,
+    flag,
+    no_failures,
+    raise_first,
 )
+from .linalg import atan2
 
 __all__ = [
     "PairState",
@@ -40,6 +44,7 @@ __all__ = [
     "WhichWayMeasurement",
     "pair_state",
     "geometry",
+    "geometry_stack",
     "ideal_measurement",
     "interferometer_coherence",
 ]
@@ -67,7 +72,8 @@ class WhichWayGeometry:
     ``gamma_sq`` is the squared signal coherence it implies.  When one of
     the vectors vanishes only one signal channel is populated at first
     order, the geometry is degenerate and the coherence is reported as 1
-    with the flag set.
+    with the flag set.  :func:`geometry_stack` fills the fields with one
+    row per scheme (``u`` and ``v`` are then ``(N, 2)``).
     """
 
     u: np.ndarray
@@ -108,28 +114,50 @@ def pair_state(scheme: FourConverterScheme) -> PairState:
     )
 
 
-def geometry(scheme: FourConverterScheme) -> WhichWayGeometry:
-    """Coupling-vector geometry and the coherence it implies."""
-    u = np.array([scheme.g1, scheme.g4], dtype=float)
-    v = np.array([scheme.g5, -scheme.g2], dtype=float)
-    u.flags.writeable = False
-    v.flags.writeable = False
-    dot = float(u @ v)
-    cross = float(u[0] * v[1] - u[1] * v[0])
-    u2 = float(u @ u)
-    v2 = float(v @ v)
-    if u2 == 0.0 and v2 == 0.0:
-        raise ZeroSchemeError("all couplings vanish: no geometry")
-    if u2 == 0.0 or v2 == 0.0:
-        # single-source case: the populated signal mode is trivially
-        # coherent with itself after any mixer
-        return WhichWayGeometry(u=u, v=v, dot=dot, cross=cross, angle=0.0,
-                                gamma_sq=1.0, degenerate=True)
-    gamma_sq = dot * dot / (u2 * v2)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(N, 2)`` arrays, each rounded as
+    the single-vector ``a @ b`` rounds."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def geometry_stack(g1: np.ndarray, g2: np.ndarray, g4: np.ndarray,
+                   g5: np.ndarray) -> tuple[WhichWayGeometry, np.ndarray]:
+    """Coupling-vector geometry of N four-converter schemes given by
+    their ``(N,)`` coupling arrays, with each row's failure
+    (:class:`~coupledpdc.errors.ZeroSchemeError` where every coupling
+    vanishes)."""
+    u = np.stack([g1, g4], axis=-1)
+    v = np.stack([g5, -g2], axis=-1)
+    dot, u2, v2 = (_rowdot(a, b) for a, b in ((u, v), (u, u), (v, v)))
+    cross = g1 * -g2 - g4 * g5
+    # single-source case: the populated signal mode is trivially
+    # coherent with itself after any mixer
+    degenerate = (u2 == 0.0) | (v2 == 0.0)
+    failed = no_failures(len(dot))
+    flag(failed, (u2 == 0.0) & (v2 == 0.0),
+         lambda i: ZeroSchemeError("all couplings vanish: no geometry"))
     return WhichWayGeometry(
         u=u, v=v, dot=dot, cross=cross,
-        angle=math.atan2(cross, dot),
-        gamma_sq=gamma_sq,
+        angle=np.where(degenerate, 0.0, atan2(cross, dot)),
+        gamma_sq=np.where(degenerate, 1.0,
+                          dot * dot / np.where(degenerate, 1.0, u2 * v2)),
+        degenerate=degenerate,
+    ), failed
+
+
+def geometry(scheme: FourConverterScheme) -> WhichWayGeometry:
+    """Coupling-vector geometry and the coherence it implies."""
+    geo, failed = geometry_stack(
+        *(np.array([getattr(scheme, name)], dtype=float)
+          for name in ("g1", "g2", "g4", "g5")))
+    raise_first(failed)
+    u, v = geo.u[0], geo.v[0]
+    u.flags.writeable = False
+    v.flags.writeable = False
+    return WhichWayGeometry(
+        u=u, v=v, dot=float(geo.dot[0]), cross=float(geo.cross[0]),
+        angle=float(geo.angle[0]), gamma_sq=float(geo.gamma_sq[0]),
+        degenerate=bool(geo.degenerate[0]),
     )
 
 

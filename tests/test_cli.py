@@ -4,6 +4,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,14 +127,21 @@ def test_usage_errors():
 
 
 def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):
-    # failures must tag the row and empty the columns, never abort the sweep
+    # failures must tag the row and empty the columns, never abort the
+    # sweep; the failure is injected into the engine's interferometer
+    # kernel, which records it per row instead of raising
     import coupledpdc.cli as cli
-    from coupledpdc.errors import TanhDomainError
+    from coupledpdc.errors import TanhDomainError, flag
 
-    def boom(tm, tol=None):
-        raise TanhDomainError("forced for the test")
+    kernel = cli.dec.interferometer_stack
 
-    monkeypatch.setattr(cli.dec, "extract_interferometer", boom)
+    def forced(m, ms, failed, tol):
+        ou = kernel(m, ms, failed, tol)
+        flag(ou.failed, np.ones(len(m), dtype=bool),
+             lambda i: TanhDomainError("forced for the test"))
+        return ou
+
+    monkeypatch.setattr(cli.dec, "interferometer_stack", forced)
     out = tmp_path / "tagged.csv"
     assert run_cli("sweep-length", "--gamma1", "0.1", "--gamma2", "0.3",
                    "--kappa", "3", "--from", "0.5", "--to", "1.0",

@@ -1,0 +1,183 @@
+"""The batched sweep engine: block invariance, memory, status tags, and
+the names the benchmark's tracer reaches into."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import coupledpdc.cli as cli
+from coupledpdc.cli import (
+    BLOCK,
+    LENGTH_COLUMNS,
+    SweepConfig,
+    sweep_length_rows,
+)
+from coupledpdc.config import Tolerances
+from coupledpdc.decompose import (
+    FourConverterScheme,
+    extract_four_converter,
+    extract_interferometer,
+)
+from coupledpdc.device import ContinuousDevice, transfer_matrix
+from coupledpdc.errors import (
+    CoherenceBoundError,
+    ParameterCapError,
+    PdcModelError,
+    UndefinedCoherenceError,
+    ZeroSchemeError,
+)
+from coupledpdc.moments import intensities, signal_coherence
+from coupledpdc.whichway import geometry
+
+FIG2 = ContinuousDevice(0.1, 0.3, 3.0, 0.0)
+ABOVE = ContinuousDevice(1.0, 1.0, 0.5, 0.0)
+
+
+def _single_point_row(dev: ContinuousDevice) -> dict:
+    """One length-sweep row computed through the single-point functions,
+    as the sweeps were evaluated before the batched engine."""
+    fmt, tag = cli._fmt, cli._tag
+    row = dict.fromkeys(LENGTH_COLUMNS, "")
+    row["L"] = fmt(dev.length)
+    try:
+        tm = transfer_matrix(dev)
+        inten = intensities(tm)
+    except PdcModelError as exc:
+        row["status"] = f"device:{tag(exc)}"
+        return row
+    row.update(n_s1=fmt(inten.s1), n_s2=fmt(inten.s2),
+               n_total_signal=fmt(inten.total_signal), gamma_defined="0")
+    problems = []
+    try:
+        row["gamma"] = fmt(signal_coherence(tm).gamma)
+        row["gamma_defined"] = "1"
+    except UndefinedCoherenceError:
+        pass
+    except PdcModelError as exc:
+        problems.append(f"gamma:{tag(exc)}")
+    for prefix, extract in (("zou", extract_four_converter),
+                            ("ou", extract_interferometer)):
+        try:
+            report = extract(tm)
+        except PdcModelError as exc:
+            problems.append(f"{prefix}:{tag(exc)}")
+            continue
+        for name, value in vars(report.scheme).items():
+            row[f"{prefix}_{name.replace('_', '')}"] = fmt(value)
+        row[f"{prefix}_residual"] = fmt(report.residual)
+        if prefix == "zou":
+            try:
+                row["uv_angle"] = fmt(geometry(report.scheme).angle)
+            except ZeroSchemeError:
+                pass
+    row["status"] = ";".join(problems) or "ok"
+    return row
+
+
+@pytest.mark.parametrize("base, stop", [(FIG2, 20.0), (ABOVE, 400.0)],
+                         ids=["fig2", "above-threshold"])
+def test_block_boundaries_do_not_change_rows(base, stop, monkeypatch):
+    # three full blocks and a remainder (the blocks are made small to keep
+    # the single-point reference cheap); every row must be byte-equal to
+    # the same point computed on its own, ok and tagged rows alike
+    monkeypatch.setattr(cli, "BLOCK", 64)
+    cfg = SweepConfig(kind="length", device=base, start=0.01, stop=stop,
+                      steps=3 * 64 + 17)
+    rows = sweep_length_rows(cfg)
+    assert len(rows) == cfg.steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for length, row in zip(cfg.grid(), rows):
+            dev = ContinuousDevice(base.gamma1, base.gamma2, base.kappa,
+                                   float(length))
+            assert row == _single_point_row(dev)
+    statuses = {row["status"] for row in rows}
+    assert "ok" in statuses and (base is FIG2 or "device:non-finite"
+                                 in statuses and len(statuses) > 3)
+
+
+def _transient_bytes(steps: int) -> int:
+    """Peak traced memory of a fig2-device sweep beyond what its returned
+    rows hold."""
+    cfg = SweepConfig(kind="length", device=FIG2, start=0.01, stop=20.0,
+                      steps=steps)
+    tracemalloc.start()
+    try:
+        rows = sweep_length_rows(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == steps
+    return peak - held
+
+
+def test_memory_beyond_the_rows_does_not_grow_with_steps():
+    # one block's stacks and cells, however many blocks the grid spans
+    one_block = _transient_bytes(BLOCK)
+    assert _transient_bytes(4 * BLOCK + 17) <= 1.2 * one_block + 64 * 1024
+
+
+def _sweep(tol: Tolerances, steps: int = 6):
+    return sweep_length_rows(SweepConfig(kind="length", device=FIG2,
+                                         start=0.5, stop=3.0, steps=steps,
+                                         tol=tol))
+
+
+def test_coherence_bound_is_a_tagged_domain_error():
+    # a negative slack puts every nonzero coherence past the bound
+    tol = Tolerances(coherence_bound_slack=-1.0)
+    assert issubclass(CoherenceBoundError, PdcModelError)
+    with pytest.raises(ValueError, match="unit bound"):
+        signal_coherence(transfer_matrix(
+            ContinuousDevice(0.1, 0.3, 3.0, 1.0)), tol)
+    for row in _sweep(tol):
+        assert row["status"] == "gamma:coherence-bound"
+        assert row["gamma"] == "" and row["gamma_defined"] == "0"
+        assert row["zou_g1"] != "" and row["ou_g1"] != ""
+
+
+def test_parameter_cap_is_a_tagged_domain_error():
+    # a cap below the fig2 couplings: both extractions fail on it
+    tol = Tolerances(scheme_parameter_cap=0.02)
+    with pytest.raises(ParameterCapError, match="cap 10"):
+        FourConverterScheme(g1=11.0, g2=0.0, g4=0.0, g5=0.0)
+    assert issubclass(ParameterCapError, ValueError)
+    with pytest.raises(ParameterCapError, match="cap 0.02"):
+        extract_four_converter(transfer_matrix(
+            ContinuousDevice(0.1, 0.3, 3.0, 1.0)), tol)
+    rows = _sweep(tol)
+    assert all(row["status"] == "zou:parameter-cap;ou:parameter-cap"
+               for row in rows)
+    assert all(row["zou_g1"] == row["ou_residual"] == "" for row in rows)
+    assert all(row["gamma"] != "" for row in rows)
+
+
+def test_sweep_range_outside_the_device_domain_is_a_usage_error():
+    assert cli.main(["sweep-length", "--preset", "fig2",
+                     "--from", "-1"]) == cli.EXIT_USAGE
+    assert cli.main(["sweep-psi", "--preset", "fig7",
+                     "--to", "2"]) == cli.EXIT_USAGE
+
+
+def test_names_the_benchmark_tracer_wraps_resolve():
+    # bench/spans.py reads or replaces these module attributes
+    from coupledpdc import decompose, device, fock, moments, whichway
+    names = {
+        device: ["expm"],
+        moments: ["vacuum_moments", "signal_coherence", "intensities"],
+        decompose: ["vacuum_moments", "extract_four_converter",
+                    "extract_interferometer"],
+        whichway: ["geometry"],
+        fock: ["expm_multiply"],
+        cli: ["transfer_matrix", "cascaded_transfer_matrix", "evolve",
+              "fock_observables", "sweep_length_rows", "sweep_psi_rows",
+              "render_csv"],
+    }
+    for module, attributes in names.items():
+        for attribute in attributes:
+            assert callable(getattr(module, attribute)), attribute
+    assert callable(device.TransferMatrix.__post_init__)
+    assert isinstance(fock.FockBasis.__dict__["build"], classmethod)
+    # the stacks go through the wrapped names: one call per block
+    assert device.expm(np.zeros((3, 4, 4))).shape == (3, 4, 4)
+    assert moments.vacuum_moments(np.zeros((3, 4, 4))).b["s1"].shape == (3,)
