@@ -3,16 +3,25 @@
 Everything here operates on plain ``numpy.ndarray`` values with
 ``complex128`` entries and returns fresh arrays; inputs are never mutated.
 The matrix exponential is the workhorse behind the 4x4 transfer matrices;
-the sweep engine passes it a whole stack of them.
+the sweep engine passes it a whole stack of them.  It returns the bits of
+``scipy.linalg.expm`` through SciPy's own compiled Pade stages, and holds
+SciPy's bundled OpenBLAS to one thread while it runs: its LAPACK solves on
+4x4 systems otherwise wake a thread pool that then spins idle.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import NonFiniteMatrixError
 
@@ -43,20 +52,88 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """SciPy's bundled OpenBLAS (already loaded by ``scipy.linalg``), or
+    ``None`` where SciPy links another BLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir,
+                                  "scipy.libs", "libscipy_openblas*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    lib.scipy_openblas_get_num_threads.argtypes = []
+    lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads.restype = None
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold SciPy's OpenBLAS to one thread, then restore its count."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential of a square complex matrix, or of each matrix
-    of a stack ``(N, n, n)`` (bit-identical to one at a time).
+    of a stack ``(..., n, n)``: bit for bit what ``scipy.linalg.expm``
+    returns, and so a stack's rows are bit-identical to one at a time.
 
-    Scaling-and-squaring with a Pade-type rational approximation (the
-    SciPy implementation), wrapped with the package's validation: the
-    input must be square and finite, and a single matrix whose output
-    overflows raises :class:`~coupledpdc.errors.NonFiniteMatrixError`
-    (a stack leaves that check to the caller, per matrix).  Deterministic
-    across runs.
+    Scaling-and-squaring with a Pade-type rational approximation
+    (Al-Mohy & Higham 2009, SciPy's kernels), wrapped with the package's
+    validation: the input must be square and finite, and a single matrix
+    whose output overflows raises
+    :class:`~coupledpdc.errors.NonFiniteMatrixError` (a stack leaves that
+    check to the caller, per matrix).  While it runs, SciPy's OpenBLAS is
+    held to one thread; that count is process-wide for the duration, but
+    no result depends on it.  Deterministic across runs.
     """
-    out = scipy.linalg.expm(as_complex_matrix(a, square=True))
+    a = as_complex_matrix(a, square=True)
+    stack = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+    with _one_blas_thread():
+        out = _expm_stack(stack).reshape(a.shape)
     if out.ndim == 2:
         _require_finite(out, "expm output")
+    return out
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm`` of an ``(N, n, n)`` stack.  SciPy's loop over
+    a stack spends most of its time in Python per matrix; here the generic
+    rows (neither upper nor lower triangular) go straight through its two
+    compiled stages and are then squared together, grouped by squaring
+    count.  Triangular and diagonal rows take SciPy's own route."""
+    n = a.shape[-1]
+    below, nonzero = np.tri(n, k=-1, dtype=bool), a != 0
+    generic = nonzero[:, below].any(1) & nonzero[:, below.T].any(1)
+    out = np.empty_like(a)
+    rows = np.flatnonzero(generic)
+    if len(rows) < len(a):
+        out[~generic] = scipy.linalg.expm(a[~generic])
+    work = np.empty((5, n, n), dtype=a.dtype)
+    squarings = []
+    for i in rows.tolist():
+        work[0] = a[i]
+        order, s = pick_pade_structure(work)
+        if order < 0 or pade_UV_calc(work, order) != 0:
+            raise RuntimeError(f"SciPy's Pade kernels failed on matrix {i}")
+        out[i] = work[0]
+        squarings.append(s)
+    for s in sorted(set(squarings) - {0}):
+        group = rows[np.equal(squarings, s)]
+        e = out[group]
+        for _ in range(s):
+            e = e @ e
+        out[group] = e
     return out
 
 

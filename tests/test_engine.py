@@ -19,7 +19,11 @@ from coupledpdc.decompose import (
     extract_four_converter,
     extract_interferometer,
 )
-from coupledpdc.device import ContinuousDevice, transfer_matrix
+from coupledpdc.device import (
+    ContinuousDevice,
+    build_hamiltonian,
+    transfer_matrix,
+)
 from coupledpdc.errors import (
     CoherenceBoundError,
     ParameterCapError,
@@ -181,3 +185,25 @@ def test_names_the_benchmark_tracer_wraps_resolve():
     # the stacks go through the wrapped names: one call per block
     assert device.expm(np.zeros((3, 4, 4))).shape == (3, 4, 4)
     assert moments.vacuum_moments(np.zeros((3, 4, 4))).b["s1"].shape == (3,)
+
+
+def test_a_length_sweep_calls_expm_once_per_block(monkeypatch):
+    # the tracer's linalg.expm.calls and .max_dim count blocks and block
+    # lengths; each call takes the whole block's stack
+    from coupledpdc import device
+    stacks, expm = [], device.expm
+
+    def recorder(a):
+        stacks.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(device, "expm", recorder)
+    cfg = SweepConfig(kind="length", device=FIG2, start=0.01, stop=20.0,
+                      steps=2000)
+    assert len(sweep_length_rows(cfg)) == 2000
+    blocks = [cfg.grid()[start:start + BLOCK]
+              for start in range(0, 2000, BLOCK)]
+    assert len(stacks) == len(blocks) == 4
+    h = build_hamiltonian(FIG2)
+    for stack, lengths in zip(stacks, blocks):
+        assert np.array_equal(stack, 1j * h * lengths[:, None, None])

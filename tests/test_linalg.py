@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import coupledpdc.linalg as linalg
 from coupledpdc.config import TOL, Tolerances
+from coupledpdc.device import ContinuousDevice, build_hamiltonian
 from coupledpdc.errors import NonFiniteMatrixError, PdcModelError
 from coupledpdc.linalg import expm
 
@@ -120,6 +123,116 @@ def test_expm_overflow_is_a_model_error():
             pytest.raises(NonFiniteMatrixError, match="expm output") as info:
         expm(np.array([[800.0, 0.0], [0.0, 0.0]], dtype=complex))
     assert isinstance(info.value, PdcModelError)
+
+
+# expm reaches into SciPy's private Pade kernels for speed; these tests
+# hold it to SciPy's public expm bit for bit, so that a change of those
+# kernels fails here instead of shifting a sweep's digits or status tags
+
+def _assert_scipy_bits(a):
+    """``expm`` of the stack ``a``, whole and as batches of one, is
+    bit-identical to ``scipy.linalg.expm``."""
+    want = scipy.linalg.expm(a)
+    assert np.array_equal(expm(a), want, equal_nan=True)
+    for i, row in enumerate(a):
+        assert np.array_equal(expm(row[None])[0], want[i], equal_nan=True), i
+
+
+_SHAPES = {
+    "generic": lambda m: m,
+    "upper": np.triu,
+    "lower": np.tril,
+    "diagonal": lambda m: np.diag(np.diag(m)),
+    "zero": np.zeros_like,
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.builds(
+    lambda shape, re, im, scale: _SHAPES[shape]((re + 1j * im) * scale),
+    st.sampled_from(sorted(_SHAPES)),
+    arrays(np.float64, (DIM, DIM), elements=FINITE),
+    arrays(np.float64, (DIM, DIM), elements=FINITE),
+    st.floats(min_value=0.0, max_value=60.0)), min_size=1, max_size=12))
+def test_expm_is_scipy_bit_for_bit_on_mixed_stacks(rows):
+    a = np.array(rows)
+    _assert_scipy_bits(a)
+    assert np.array_equal(expm(a[None]), scipy.linalg.expm(a)[None])
+
+
+@pytest.mark.parametrize("gamma1, gamma2, kappa, start, stop, steps", [
+    # the length sweeps of tests/test_golden.py over their CLI ranges
+    (0.1, 0.3, 3.0, 0.01, 20.0, 2000),
+    (1.0, 1.0, 0.5, 0.01, 30.0, 50),
+    (1.0, 1.0, 0.5, 0.01, 400.0, 50),
+    (0.5, 1.0, 1.5, 0.01, 1000.0, 50),
+    (0.1, 0.0, 3.0, 0.0, 20.0, 50),
+    # far above threshold, up to where exp(iHL) itself overflows
+    (1.0, 1.0, 0.5, 0.01, 800.0, 200),
+])
+def test_expm_is_scipy_bit_for_bit_on_sweep_stacks(gamma1, gamma2, kappa,
+                                                   start, stop, steps):
+    h = build_hamiltonian(ContinuousDevice(gamma1, gamma2, kappa, 0.0))
+    lengths = np.linspace(start, stop, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_scipy_bits(1j * h * lengths[:, None, None])
+        if stop == 800.0:
+            assert not np.all(np.isfinite(expm(1j * h[None] * stop)))
+
+
+_openblas = pytest.mark.skipif(linalg._openblas() is None,
+                               reason="SciPy links no bundled OpenBLAS")
+
+
+def _blas_threads() -> int:
+    return linalg._openblas().scipy_openblas_get_num_threads()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """SciPy's OpenBLAS at two threads for the test, then as it was."""
+    threads = _blas_threads()
+    linalg._openblas().scipy_openblas_set_num_threads(2)
+    yield
+    linalg._openblas().scipy_openblas_set_num_threads(threads)
+
+
+def _fig2_stack(steps: int = 5) -> np.ndarray:
+    h = build_hamiltonian(ContinuousDevice(0.1, 0.3, 3.0, 0.0))
+    return 1j * h * np.linspace(0.5, 20.0, steps)[:, None, None]
+
+
+@_openblas
+def test_expm_runs_scipy_kernels_on_one_blas_thread(two_blas_threads,
+                                                    monkeypatch):
+    seen, pade_uv = [], linalg.pade_UV_calc
+
+    def recorder(work, order):
+        seen.append(_blas_threads())
+        return pade_uv(work, order)
+
+    monkeypatch.setattr(linalg, "pade_UV_calc", recorder)
+    expm(_fig2_stack())
+    assert seen == [1] * 5
+    assert _blas_threads() == 2
+
+
+@_openblas
+def test_expm_restores_the_blas_threads_when_it_raises(two_blas_threads,
+                                                       monkeypatch):
+    # a failing kernel is an error, never a quiet fallback
+    monkeypatch.setattr(linalg, "pade_UV_calc", lambda work, order: -1)
+    with pytest.raises(RuntimeError, match="Pade kernels failed"):
+        expm(_fig2_stack())
+    assert _blas_threads() == 2
+
+
+def test_expm_without_scipy_openblas_gives_the_same_bits(monkeypatch):
+    monkeypatch.setattr(linalg.glob, "glob", lambda pattern: [])
+    assert linalg._openblas.__wrapped__() is None
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    a = _fig2_stack(50)
+    assert np.array_equal(expm(a), scipy.linalg.expm(a))
 
 
 def test_tolerances_are_frozen():
