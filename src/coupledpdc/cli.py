@@ -68,9 +68,17 @@ from .errors import (
     TruncationLeakageError,
     UndefinedCoherenceError,
     first_of,
-    raise_first,
 )
-from .fock import FockBasis, evolve, fock_observables, mode_occupations
+# evolve, the single-length route, stays importable here for the
+# per-layer tracer of bench/spans.py
+from .fock import (
+    FockBasis,
+    build_generator,
+    evolve,
+    evolve_stack,
+    fock_observables,
+    mode_occupations,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -470,27 +478,54 @@ class OracleDeviation:
                 f"leakage={self.leakage:.3e}")
 
 
-def oracle_deviation(dev: ContinuousDevice, basis: FockBasis) -> OracleDeviation:
-    """Compare ``dev``'s intensities and coherence on both routes; raises
-    :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff.
+#: Oracle lengths per shared Chebyshev recurrence.  A block's amplitudes
+#: take 16 bytes per basis state and length (16 MB per length at the
+#: largest cutoff, ``--nmax 113``).
+ORACLE_BLOCK = 4
 
-    The transfer-matrix side takes the vacuum moments once, as a batch of
-    one, for both the intensities and the coherence."""
-    ms = mom.vacuum_moments(transfer_matrix(dev).matrix[None])
-    raise_first(ms.failed)
-    coh, coh_failed = mom.coherence_of(ms, ms.failed)
-    state = evolve(dev, basis)
-    n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
-    b = {mode: float(value[0]) for mode, value in ms.b.items()}
-    dint = max(abs(n_s1 - b["s1"]), abs(n_s2 - b["s2"]),
-               abs(n_i1 - b["i1"]), abs(n_i2 - b["i2"]))
-    try:
-        obs = fock_observables(state)
-        raise_first(coh_failed)
-        dgamma = abs(obs.coherence.gamma - float(coh.gamma[0]))
-    except UndefinedCoherenceError:
-        dgamma = None
-    return OracleDeviation(dint, dgamma, state.leakage)
+
+def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
+                      generator, lengths: Sequence[float],
+                      ) -> List[Union[OracleDeviation, Exception]]:
+    """Compare ``dev``'s intensities and coherence on both routes at each
+    of ``lengths``, where ``generator`` is :func:`build_generator` of
+    ``dev`` on ``basis``.
+
+    A length that fails carries its first failure instead of a deviation:
+    a check of the transfer matrix or of its moments, then one of
+    :func:`~coupledpdc.fock.evolve_stack` (a
+    :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff),
+    then a coherence beyond the unit bound.  Each side runs once on the
+    whole block: one transfer-matrix stack with its vacuum moments and
+    coherence, and one number-basis recurrence."""
+    grid = np.array(lengths, dtype=float)
+    m = transfer_stack(dev, grid)
+    ms = mom.vacuum_moments(m)
+    failed = first_of(stack_failures(m), ms.failed)
+    coh, coh_failed = mom.coherence_of(ms, failed)
+    states, fock_failed = evolve_stack(generator, basis, grid)
+    failed = first_of(failed, fock_failed)
+    out: List[Union[OracleDeviation, Exception]] = []
+    for i, state in enumerate(states):
+        if failed[i] is not None:
+            out.append(failed[i])
+            continue
+        n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
+        b = {mode: float(value[i]) for mode, value in ms.b.items()}
+        dint = max(abs(n_s1 - b["s1"]), abs(n_s2 - b["s2"]),
+                   abs(n_i1 - b["i1"]), abs(n_i2 - b["i2"]))
+        try:
+            obs = fock_observables(state)
+            if coh_failed[i] is not None:
+                raise coh_failed[i]
+            dgamma = abs(obs.coherence.gamma - float(coh.gamma[i]))
+        except UndefinedCoherenceError:
+            dgamma = None
+        except CoherenceBoundError as exc:
+            out.append(exc)
+            continue
+        out.append(OracleDeviation(dint, dgamma, state.leakage))
+    return out
 
 
 def _oracle_applies(dev, command: str) -> bool:
@@ -526,22 +561,28 @@ def _cmd_oracle_check(args) -> int:
     probe = ContinuousDevice(**merged_args, length=0.0)
     if not _oracle_applies(probe, "oracle-check"):
         return EXIT_USAGE
+    # every length is checked before any is evaluated
+    for length in lengths:
+        ContinuousDevice(**merged_args, length=length)
 
     basis = FockBasis.build(args.nmax)
+    generator = build_generator(probe, basis)
     worst_intensity = 0.0
     worst_gamma = 0.0
     worst_leak = 0.0
-    for length in lengths:
-        try:
-            deviation = oracle_deviation(
-                ContinuousDevice(**merged_args, length=length), basis)
-        except TruncationLeakageError as exc:
-            print(f"L={_fmt(length)}: {exc}", file=sys.stderr)
-            return EXIT_LEAKAGE
-        worst_intensity = max(worst_intensity, deviation.dintensity)
-        worst_gamma = max(worst_gamma, deviation.dgamma or 0.0)
-        worst_leak = max(worst_leak, deviation.leakage)
-        print(f"L={_fmt(length)} {deviation.fields()}")
+    for start in range(0, len(lengths), ORACLE_BLOCK):
+        block = lengths[start:start + ORACLE_BLOCK]
+        for length, deviation in zip(block, oracle_deviations(
+                probe, basis, generator, block)):
+            if isinstance(deviation, TruncationLeakageError):
+                print(f"L={_fmt(length)}: {deviation}", file=sys.stderr)
+                return EXIT_LEAKAGE
+            if isinstance(deviation, Exception):
+                raise deviation
+            worst_intensity = max(worst_intensity, deviation.dintensity)
+            worst_gamma = max(worst_gamma, deviation.dgamma or 0.0)
+            worst_leak = max(worst_leak, deviation.leakage)
+            print(f"L={_fmt(length)} {deviation.fields()}")
     print(f"max intensity deviation: {worst_intensity:.3e}")
     print(f"max gamma deviation:     {worst_gamma:.3e}")
     print(f"max leakage proxy:       {worst_leak:.3e}")
@@ -619,11 +660,13 @@ def _cmd_decompose(args) -> int:
     except PdcModelError as exc:
         print(f"interferometer extraction failed: {_tag(exc)}")
     if basis is not None:
-        try:
-            deviation = oracle_deviation(dev, basis)
-        except TruncationLeakageError as exc:
-            print(f"nmax={args.nmax}: {exc}", file=sys.stderr)
+        (deviation,) = oracle_deviations(
+            dev, basis, build_generator(dev, basis), [dev.length])
+        if isinstance(deviation, TruncationLeakageError):
+            print(f"nmax={args.nmax}: {deviation}", file=sys.stderr)
             return EXIT_LEAKAGE
+        if isinstance(deviation, Exception):
+            raise deviation
         print(f"nmax={args.nmax} {deviation.fields()}")
     return EXIT_OK
 

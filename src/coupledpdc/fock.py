@@ -1,9 +1,9 @@
 """Independent validation in a truncated four-mode number basis.
 
 The continuous device's full interaction generator is represented exactly
-on photon-number states with a per-mode cutoff and exponentiated onto the
-vacuum.  Intensities and the signal coherence computed this way make no
-Gaussian assumption, so agreement with the transfer-matrix route
+on photon-number states with a per-mode cutoff and applied, exponentiated,
+to the vacuum.  Intensities and the signal coherence computed this way
+make no Gaussian assumption, so agreement with the transfer-matrix route
 cross-validates both, as long as little population reaches the truncation
 boundary (tracked by a leakage proxy).
 
@@ -11,6 +11,13 @@ Every term of the generator conserves ``(n_s1 + n_s2) - (n_i1 + n_i2)``
 (pairs are created together, idlers only exchanged), so the basis holds
 only the vacuum's zero-charge sector: ``n(n+1)(2n+1)/3 + (n+1)^2`` states
 at cutoff ``n`` instead of ``(n+1)^4``.
+
+The generator is real and symmetric and does not depend on the length,
+so the exponential is applied by a Chebyshev expansion (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967, 1984): one real three-term recurrence
+of sparse matrix-vector products serves every length of a batch, and only
+the Bessel-function coefficients differ between lengths
+(:func:`expm_multiply`, :func:`evolve_stack`).
 
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
 in signal 1 and one in idler 1.
@@ -20,15 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .config import TOL, Tolerances
 from .device import ContinuousDevice
-from .errors import TruncationLeakageError, UndefinedCoherenceError
+from .errors import (
+    TruncationLeakageError,
+    UndefinedCoherenceError,
+    flag,
+    no_failures,
+    raise_first,
+)
 from .moments import CoherenceResult
 
 __all__ = [
@@ -36,6 +48,8 @@ __all__ = [
     "FockState",
     "FockObservables",
     "build_generator",
+    "expm_multiply",
+    "evolve_stack",
     "evolve",
     "mode_occupations",
     "fock_observables",
@@ -123,11 +137,11 @@ class FockState:
 
 def build_generator(dev: ContinuousDevice,
                     basis: FockBasis) -> scipy.sparse.csr_matrix:
-    """Sparse Hermitian generator of the device in the number basis.
+    """Sparse real symmetric generator of the device in the number basis.
 
     Terms: pair creation/annihilation on (s1,i1) and (s2,i2) with
     strengths gamma1/gamma2, and idler exchange with strength kappa; each
-    listed with its Hermitian conjugate, so the matrix is Hermitian by
+    listed with its Hermitian conjugate, so the matrix is symmetric by
     construction (the cutoff drops both directions of a boundary-crossing
     transition).  Each term is one masked array operation over all source
     states; its target key is the source key plus the strides of the modes
@@ -156,38 +170,139 @@ def build_generator(dev: ContinuousDevice,
         vals.append(amp[keep])
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size), dtype=complex)
+        shape=(basis.size, basis.size), dtype=float)
+
+
+#: A length's Chebyshev series ends at the first order above its argument
+#: whose coefficient is smaller than this.
+SERIES_FLOOR = 1e-18
+
+# sign of i**k, which multiplies the real part for even k and the
+# imaginary part for odd k
+_PHASE = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _bessel_series(x: float) -> np.ndarray:
+    """``(2 - delta_k0) J_k(x)`` for ``k = 0, 1, ...`` up to the first order
+    above ``x >= 0`` where it is below :data:`SERIES_FLOOR`.
+
+    Miller's backward recurrence ``J_{k-1} = (2k/x) J_k - J_{k+1}``,
+    started where ``(x/2)^k / k!``, a bound on ``J_k(x)``, is below 1e-30,
+    rescaled before it can overflow and normalized by
+    ``J_0 + 2 (J_2 + J_4 + ...) = 1``.  Below the floor ``J_0(x)`` rounds
+    to 1 and ``2 J_1(x) ~ x`` is already under it.
+    """
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"Chebyshev argument must be finite and >= 0, "
+                         f"got {x!r}")
+    if x < SERIES_FLOOR:
+        return np.ones(1)
+    log_half = math.log(x / 2)
+    # below order e x / 2 the bound exceeds 1 / (e sqrt(k)), far above 1e-30
+    top = math.ceil(math.e * x / 2)
+    while top * log_half - math.lgamma(top + 1) > -69.0:   # ln 1e-30
+        top += 1
+    j = [0.0] * (top + 2)
+    j[top] = this = 1.0
+    above = 0.0
+    for k in range(top, 0, -1):
+        # 2k / x in one rounding: a rounded 2 / x would act as a shifted x
+        this, above = 2 * k / x * this - above, this
+        j[k - 1] = this
+        if abs(this) > 1e250:
+            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
+            this, above = j[k - 1], j[k]
+    norm = j[0] + 2.0 * math.fsum(j[2::2])
+    end = math.floor(x) + 1      # j[top + 1] = 0 ends the scan at the latest
+    while 2.0 * abs(j[end]) >= SERIES_FLOOR * abs(norm):
+        end += 1
+    series = np.array(j[:end]) / norm
+    series[1:] *= 2.0
+    return series
+
+
+def expm_multiply(generator: scipy.sparse.csr_matrix, vector: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """Rows ``exp(i L H) v`` for each ``L`` of ``lengths``, for a real
+    symmetric sparse ``H`` and a real vector ``v``.
+
+    The largest absolute row sum ``r`` of ``H`` bounds its spectrum
+    (Gershgorin), and ``exp(i L H) = sum_k (2 - delta_k0) i^k J_k(rL)
+    T_k(H/r)``.  The vectors ``w_k = T_k(H/r) v`` follow the real
+    recurrence ``w_{k+1} = (2/r) H w_k - w_{k-1}`` and are shared by every
+    length; only the Bessel coefficients, which feed the real part (even
+    ``k``) or the imaginary part (odd ``k``), differ.  A length's series
+    has about ``rL + 12 (rL)^(1/3)`` terms, each one matrix-vector
+    product.  A length whose series is shorter than the batch's adds exact
+    zeros for the remaining terms, so each row is bit-identical to the
+    same length run alone.
+    """
+    radius = float(abs(generator).sum(axis=1).max()) if generator.nnz else 0.0
+    series = [_bessel_series(radius * length)
+              for length in np.asarray(lengths, dtype=float).tolist()]
+    coef = np.zeros((len(series), max(map(len, series))))
+    for row, values in zip(coef, series):
+        row[:len(values)] = values
+    coef *= _PHASE[np.arange(coef.shape[1]) % 4]
+    out = np.zeros((len(series), len(vector)), dtype=complex)
+    parts = [out.real, out.imag]
+    previous, current = None, vector
+    for k, column in enumerate(coef.T):
+        if k == 1:
+            scaled = generator * (2.0 / radius)
+            previous, current = current, (generator @ current) / radius
+        elif k > 1:
+            previous, current = current, scaled @ current - previous
+        parts[k % 2] += column[:, None] * current
+    return out
+
+
+def evolve_stack(generator: scipy.sparse.csr_matrix, basis: FockBasis,
+                 lengths: np.ndarray, tol: Tolerances = TOL,
+                 ) -> Tuple[List[FockState], np.ndarray]:
+    """The vacuum evolved by ``generator`` (:func:`build_generator` on
+    ``basis``) over each of ``lengths``, from one :func:`expm_multiply`.
+
+    Returns the states and each length's first failure (see
+    :mod:`coupledpdc.errors`): an ``ArithmeticError`` when the norm is off
+    1 by more than ``tol.fock_norm``, then a
+    :class:`~coupledpdc.errors.TruncationLeakageError` when the boundary
+    population exceeds ``tol.fock_leakage_max``.
+    """
+    vacuum = np.zeros(basis.size)
+    vacuum[0] = 1.0
+    psi = expm_multiply(generator, vacuum, lengths)
+    psi.flags.writeable = False
+    # row by row: a reduction along the rows of a stack rounds differently
+    # from the same reduction of one row
+    norm = np.array([np.linalg.norm(row) for row in psi])
+    boundary = np.max(basis.occupations, axis=1) == basis.n_max
+    leakage = np.array([np.sum(np.abs(row[boundary]) ** 2) for row in psi])
+    failed = no_failures(len(psi))
+    flag(failed, np.abs(norm - 1.0) > tol.fock_norm,
+         lambda i: ArithmeticError(
+             f"evolution lost unitarity: norm = {float(norm[i])!r}"))
+    flag(failed, leakage > tol.fock_leakage_max,
+         lambda i: TruncationLeakageError(
+             f"boundary population {leakage[i]:.3e} exceeds "
+             f"{tol.fock_leakage_max:.0e}; raise the cutoff"))
+    states = [FockState(basis=basis, amplitudes=row, leakage=float(leak))
+              for row, leak in zip(psi, leakage)]
+    return states, failed
 
 
 def evolve(dev: ContinuousDevice, basis: FockBasis,
            tol: Tolerances = TOL) -> FockState:
-    """Evolve the vacuum over the device's interaction length.
-
-    Applies the exponential of the sparse generator to the vacuum column
-    with ``expm_multiply`` (Al-Mohy & Higham 2011), never forming the
-    dense exponential.
+    """Evolve the vacuum over the device's interaction length:
+    :func:`evolve_stack` on a batch of one.
 
     Raises :class:`~coupledpdc.errors.TruncationLeakageError` when the
     boundary population exceeds ``tol.fock_leakage_max``.
     """
-    gen = build_generator(dev, basis)
-    vac = np.zeros(basis.size, dtype=complex)
-    vac[0] = 1.0
-    psi = expm_multiply(1j * gen * dev.length, vac)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol.fock_norm:
-        raise ArithmeticError(
-            f"evolution lost unitarity: norm = {norm!r}"
-        )
-    boundary = np.max(basis.occupations, axis=1) == basis.n_max
-    leakage = float(np.sum(np.abs(psi[boundary]) ** 2))
-    if leakage > tol.fock_leakage_max:
-        raise TruncationLeakageError(
-            f"boundary population {leakage:.3e} exceeds "
-            f"{tol.fock_leakage_max:.0e}; raise the cutoff"
-        )
-    psi.flags.writeable = False
-    return FockState(basis=basis, amplitudes=psi, leakage=leakage)
+    states, failed = evolve_stack(build_generator(dev, basis), basis,
+                                  np.array([dev.length]), tol)
+    raise_first(failed)
+    return states[0]
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,41 @@ def test_oracle_check_leakage_exit_code(capsys):
     assert "boundary population" in capsys.readouterr().err
 
 
+def test_oracle_check_stops_at_the_first_leaking_length(capsys):
+    # the middle length leaks: the first length's line is printed, the
+    # leak is reported, and the last length is never printed
+    assert run_cli("oracle-check", "--gamma1", "1", "--gamma2", "1",
+                   "--kappa", "2.5", "--nmax", "2",
+                   "--points", "0.05,3.0,1.0") == EXIT_LEAKAGE
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("L=0.05 dintensity=")
+    assert captured.err.startswith("L=3.0: boundary population 2.314e-02 ")
+    assert "L=1.0" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_oracle_check_output_does_not_depend_on_the_block(block, capsys,
+                                                         monkeypatch):
+    from coupledpdc import cli
+    argv = ("oracle-check", "--preset", "fig2", "--nmax", "5",
+            "--points", "0,0.1,0.5,1,1.5,2,2.5")
+    assert run_cli(*argv) == EXIT_OK
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "ORACLE_BLOCK", block)
+    assert run_cli(*argv) == EXIT_OK
+    assert capsys.readouterr().out == whole
+    assert whole.count("L=") == 7
+
+
+def test_oracle_check_refuses_a_negative_length_before_any_line(capsys):
+    assert run_cli("oracle-check", "--preset", "fig2",
+                   "--points", "0.5,-1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "length must be >= 0" in captured.err
+
+
 def test_oracle_check_tolerance_breach(capsys):
     # an absurdly tight tolerance must trip the breach exit code
     assert run_cli("oracle-check", "--preset", "fig2", "--points", "1.0",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import example, given, settings
 
 import coupledpdc.fock as fock
 from coupledpdc.config import Tolerances
@@ -15,6 +15,7 @@ from coupledpdc.fock import (
     FockBasis,
     build_generator,
     evolve,
+    evolve_stack,
     fock_observables,
     mode_occupations,
     pair_component,
@@ -162,6 +163,9 @@ _ANY_LEAKAGE = Tolerances(fock_leakage_max=1.0)
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(below_threshold_devices())
+# rL of about 2e-211: a Bessel recurrence started at a fixed order above
+# so small an argument overflows or indexes past its table
+@example(ContinuousDevice(0.0, 0.0, -0.5, 1.2307150266689448e-211))
 def test_sector_evolve_matches_full_basis_dense_expm(dev):
     state = evolve(dev, FockBasis.build(3), tol=_ANY_LEAKAGE)
     inside, outside = _dense_reference(dev, 3)
@@ -170,21 +174,107 @@ def test_sector_evolve_matches_full_basis_dense_expm(dev):
 
 
 def test_evolve_calls_expm_multiply_once_through_the_module_name(
-        basis4, monkeypatch):
-    # bench/spans.py times the sparse kernel and counts basis sizes by
-    # rebinding these two names; a refactor that bypasses them would make
-    # its per-layer figures read 0
+        basis4, monkeypatch, capsys):
+    # bench/spans.py times the kernel and counts basis sizes by rebinding
+    # these two names; a refactor that bypasses them would make its
+    # per-layer figures read 0
+    from coupledpdc import cli
     assert isinstance(FockBasis.__dict__["build"], classmethod)
-    calls = []
+    calls, builds = [], []
+    kernel, build = fock.expm_multiply, cli.build_generator
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return scipy.sparse.linalg.expm_multiply(*args, **kwargs)
+    def counting(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
 
     monkeypatch.setattr(fock, "expm_multiply", counting)
+    monkeypatch.setattr(cli, "build_generator", counting_build)
     for length in (0.5, 1.0):
         evolve(ContinuousDevice(**FIG2, length=length), basis4)
-    assert len(calls) == 2
+    assert [list(lengths) for lengths in calls] == [[0.5], [1.0]]
+    # an oracle-check builds the generator once and runs the kernel once
+    # per block of lengths
+    calls.clear()
+    monkeypatch.setattr(cli, "ORACLE_BLOCK", 4)
+    assert cli.main(["oracle-check", "--preset", "fig2", "--nmax", "3",
+                     "--points", "0.1,0.2,0.3,0.4,0.5,0.6"]) == cli.EXIT_OK
+    assert [list(lengths) for lengths in calls] == [[0.1, 0.2, 0.3, 0.4],
+                                                    [0.5, 0.6]]
+    assert len(builds) == 1
+    assert capsys.readouterr().out.count("L=") == 6
+
+
+def test_chebyshev_coefficients_match_bessel_functions():
+    # the coefficients are (2 - delta_k0) J_k(x); scipy's jv itself is off
+    # by up to 5.7e-15 at x = 300 (against mpmath at 40 digits), so the
+    # comparison is on J_k
+    for x in (1e-8, 0.5, 25.0, 100.0, 300.0):
+        series = fock._bessel_series(x)
+        k = np.arange(len(series))
+        bessel = series / np.where(k == 0, 1.0, 2.0)
+        assert np.max(np.abs(bessel - scipy.special.jv(k, x))) <= 1e-14
+        # the series ends above x at the first coefficient under the floor
+        assert len(series) > x
+        assert 2 * abs(scipy.special.jv(len(series), x)) < fock.SERIES_FLOOR
+        assert 2 * abs(scipy.special.jv(len(series) - 1, x)) \
+            >= fock.SERIES_FLOOR / 2
+    for x in (0.0, 1e-19, 1.8e-211):
+        assert np.array_equal(fock._bessel_series(x), [1.0])
+    for x in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Chebyshev argument"):
+            fock._bessel_series(x)
+
+
+def test_chebyshev_coefficients_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in (0.5, 25.0, 300.0):
+        series = fock._bessel_series(x)
+        want = [float((1 if k == 0 else 2) * mpmath.besselj(k, x))
+                for k in range(len(series))]
+        assert np.max(np.abs(series - want)) <= 1e-15
+
+
+def test_evolve_zero_coupling_is_vacuum():
+    # r = 0: the series is J_0(0) = 1 and no matrix-vector product runs
+    state = evolve(ContinuousDevice(0.0, 0.0, 0.0, 5.0), FockBasis.build(3))
+    assert state.amplitudes[0] == 1.0
+    assert np.count_nonzero(state.amplitudes) == 1
+
+
+def test_evolve_nmax8_matches_dense_expm():
+    dev = ContinuousDevice(**FIG2, length=2.0)
+    basis = FockBasis.build(8)
+    dense = scipy.linalg.expm(
+        1j * build_generator(dev, basis).toarray() * dev.length)[:, 0]
+    state = evolve(dev, basis)
+    assert np.max(np.abs(state.amplitudes - dense)) <= 1e-13
+
+
+def test_evolve_stack_rows_equal_single_lengths(basis4):
+    lengths = np.array([0.0, 2.0, 0.5, 1e-9, 1.5])
+    dev = ContinuousDevice(**FIG2, length=0.0)
+    states, failed = evolve_stack(build_generator(dev, basis4), basis4,
+                                  lengths)
+    assert all(f is None for f in failed)
+    for length, state in zip(lengths, states):
+        alone = evolve(ContinuousDevice(**FIG2, length=length), basis4)
+        assert np.array_equal(state.amplitudes, alone.amplitudes)
+        assert state.leakage == alone.leakage
+
+
+def test_evolve_stack_records_leakage_per_length():
+    basis = FockBasis.build(1)
+    dev = ContinuousDevice(0.5, 0.0, 0.0, 0.0)
+    states, failed = evolve_stack(build_generator(dev, basis), basis,
+                                  np.array([0.01, 1.0, 0.02]))
+    assert failed[0] is None and failed[2] is None
+    assert isinstance(failed[1], TruncationLeakageError)
+    assert states[1].leakage > 1e-4
 
 
 @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
