@@ -17,7 +17,10 @@ so the exponential is applied by a Chebyshev expansion (Tal-Ezer &
 Kosloff, J. Chem. Phys. 81, 3967, 1984): one real three-term recurrence
 of sparse matrix-vector products serves every length of a batch, and only
 the Bessel-function coefficients differ between lengths
-(:func:`expm_multiply`, :func:`evolve_stack`).
+(:func:`expm_multiply`, :func:`evolve_stack`).  The generator is held as
+plain CSR arrays (:class:`CsrMatrix`), and each product runs SciPy's
+compiled ``csr_matvec``, the kernel behind a ``scipy.sparse`` product,
+loaded without importing ``scipy.sparse`` (see :mod:`coupledpdc.linalg`).
 
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
 in signal 1 and one in idler 1.
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .config import TOL, Tolerances
 from .device import ContinuousDevice
@@ -41,12 +43,14 @@ from .errors import (
     no_failures,
     raise_first,
 )
+from .linalg import _scipy_extension
 from .moments import CoherenceResult
 
 __all__ = [
     "FockBasis",
     "FockState",
     "FockObservables",
+    "CsrMatrix",
     "build_generator",
     "expm_multiply",
     "evolve_stack",
@@ -135,8 +139,47 @@ class FockState:
     leakage: float
 
 
-def build_generator(dev: ContinuousDevice,
-                    basis: FockBasis) -> scipy.sparse.csr_matrix:
+_csr_matvec = _scipy_extension("scipy.sparse._sparsetools").csr_matvec
+
+
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A square real matrix in compressed sparse row form.
+
+    Row ``i`` holds the entries ``data[indptr[i]:indptr[i + 1]]`` in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``, in ascending column order
+    and without duplicates: SciPy's canonical CSR layout, with ``int32``
+    indices, so ``scipy.sparse.csr_array((data, indices, indptr),
+    shape=(size, size))`` wraps it without a copy.
+    """
+
+    indptr: np.ndarray                 # (size + 1,) int32 row offsets
+    indices: np.ndarray                # (nnz,) int32 columns
+    data: np.ndarray                   # (nnz,) float64 entries
+
+
+def _matvec(matrix: CsrMatrix, data: np.ndarray,
+            vector: np.ndarray) -> np.ndarray:
+    """``A @ vector`` for the matrix ``A`` with the sparsity of ``matrix``
+    and the entries ``data``, summed row by row in column order into
+    zeros, as a ``scipy.sparse`` product sums."""
+    size = len(matrix.indptr) - 1
+    out = np.zeros(size)
+    _csr_matvec(size, size, matrix.indptr, matrix.indices, data, vector, out)
+    return out
+
+
+def _radius(matrix: CsrMatrix) -> float:
+    """The largest absolute row sum of ``matrix``, a Gershgorin bound on
+    its spectrum (0 for the zero matrix).  Rows are summed as
+    ``scipy.sparse`` sums them, by ``np.add.reduceat``; a product with
+    ones can differ in the last bit, which would move every amplitude."""
+    filled = np.flatnonzero(np.diff(matrix.indptr))
+    sums = np.add.reduceat(np.abs(matrix.data), matrix.indptr[filled])
+    return float(sums.max(initial=0.0))
+
+
+def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
     """Sparse real symmetric generator of the device in the number basis.
 
     Terms: pair creation/annihilation on (s1,i1) and (s2,i2) with
@@ -145,7 +188,8 @@ def build_generator(dev: ContinuousDevice,
     construction (the cutoff drops both directions of a boundary-crossing
     transition).  Each term is one masked array operation over all source
     states; its target key is the source key plus the strides of the modes
-    it steps, and every target inside the cutoff is in the sector.
+    it steps, and every target inside the cutoff is in the sector.  The
+    entries are then sorted into SciPy's canonical CSR order.
     """
     terms = (
         (dev.gamma1, (0, +1), (1, +1)),
@@ -168,9 +212,15 @@ def build_generator(dev: ContinuousDevice,
         rows.append(np.searchsorted(basis.keys, basis.keys[keep] + offset))
         cols.append(np.flatnonzero(keep))
         vals.append(amp[keep])
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size), dtype=float)
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(basis.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=basis.size), out=indptr[1:])
+    arrays = (indptr, cols[order].astype(np.int32),
+              vals[order].astype(float))
+    for array in arrays:
+        array.flags.writeable = False
+    return CsrMatrix(*arrays)
 
 
 #: A length's Chebyshev series ends at the first order above its argument
@@ -221,7 +271,7 @@ def _bessel_series(x: float) -> np.ndarray:
     return series
 
 
-def expm_multiply(generator: scipy.sparse.csr_matrix, vector: np.ndarray,
+def expm_multiply(generator: CsrMatrix, vector: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
     """Rows ``exp(i L H) v`` for each ``L`` of ``lengths``, for a real
     symmetric sparse ``H`` and a real vector ``v``.
@@ -237,7 +287,7 @@ def expm_multiply(generator: scipy.sparse.csr_matrix, vector: np.ndarray,
     zeros for the remaining terms, so each row is bit-identical to the
     same length run alone.
     """
-    radius = float(abs(generator).sum(axis=1).max()) if generator.nnz else 0.0
+    radius = _radius(generator)
     series = [_bessel_series(radius * length)
               for length in np.asarray(lengths, dtype=float).tolist()]
     coef = np.zeros((len(series), max(map(len, series))))
@@ -249,15 +299,18 @@ def expm_multiply(generator: scipy.sparse.csr_matrix, vector: np.ndarray,
     previous, current = None, vector
     for k, column in enumerate(coef.T):
         if k == 1:
-            scaled = generator * (2.0 / radius)
-            previous, current = current, (generator @ current) / radius
+            scaled = generator.data * (2.0 / radius)
+            previous, current = (current,
+                                 _matvec(generator, generator.data, current)
+                                 / radius)
         elif k > 1:
-            previous, current = current, scaled @ current - previous
+            previous, current = (current,
+                                 _matvec(generator, scaled, current) - previous)
         parts[k % 2] += column[:, None] * current
     return out
 
 
-def evolve_stack(generator: scipy.sparse.csr_matrix, basis: FockBasis,
+def evolve_stack(generator: CsrMatrix, basis: FockBasis,
                  lengths: np.ndarray, tol: Tolerances = TOL,
                  ) -> Tuple[List[FockState], np.ndarray]:
     """The vacuum evolved by ``generator`` (:func:`build_generator` on

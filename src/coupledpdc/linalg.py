@@ -7,6 +7,11 @@ the sweep engine passes it a whole stack of them.  It returns the bits of
 ``scipy.linalg.expm`` through SciPy's own compiled Pade stages, and holds
 SciPy's bundled OpenBLAS to one thread while it runs: its LAPACK solves on
 4x4 systems otherwise wake a thread pool that then spins idle.
+
+The Pade stages, like the sparse product of :mod:`coupledpdc.fock`, are
+loaded from their compiled file, without ``scipy.linalg`` or
+``scipy.sparse``: either package first imports ``scipy._lib._util``, which
+touches every lazy attribute of numpy and more than doubles start-up.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+import scipy
 
 from .errors import NonFiniteMatrixError
 
@@ -52,10 +60,38 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
     return m
 
 
+def _scipy_extension(name: str) -> ModuleType:
+    """The compiled SciPy module ``name`` (``scipy.<subpackage>.<module>``),
+    loaded from its file without running its package's ``__init__``.
+
+    It is registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.linalg`` or ``import scipy.sparse`` reuses it instead of
+    initializing it a second time.  Raises ``ImportError`` naming the
+    module and SciPy's version when no such file exists.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.rpartition(".")[0].split(".")
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), *package[1:])])
+    if spec is None:
+        raise ImportError(f"{name} not found in SciPy {scipy.__version__}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_expm_kernels = _scipy_extension("scipy.linalg._matfuncs_expm")
+pick_pade_structure = _expm_kernels.pick_pade_structure
+pade_UV_calc = _expm_kernels.pade_UV_calc
+
+
 @functools.cache
 def _openblas() -> ctypes.CDLL | None:
-    """SciPy's bundled OpenBLAS (already loaded by ``scipy.linalg``), or
-    ``None`` where SciPy links another BLAS."""
+    """SciPy's bundled OpenBLAS (already loaded as a dependency of its
+    compiled Pade stages), or ``None`` where SciPy links another BLAS."""
     libs = glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir,
                                   "scipy.libs", "libscipy_openblas*.so"))
     if not libs:
@@ -111,13 +147,15 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     a stack spends most of its time in Python per matrix; here the generic
     rows (neither upper nor lower triangular) go straight through its two
     compiled stages and are then squared together, grouped by squaring
-    count.  Triangular and diagonal rows take SciPy's own route."""
+    count.  Triangular and diagonal rows take SciPy's own route, and only
+    they import ``scipy.linalg``."""
     n = a.shape[-1]
     below, nonzero = np.tri(n, k=-1, dtype=bool), a != 0
     generic = nonzero[:, below].any(1) & nonzero[:, below.T].any(1)
     out = np.empty_like(a)
     rows = np.flatnonzero(generic)
     if len(rows) < len(a):
+        import scipy.linalg
         out[~generic] = scipy.linalg.expm(a[~generic])
     work = np.empty((5, n, n), dtype=a.dtype)
     squarings = []

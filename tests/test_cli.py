@@ -299,6 +299,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse():
+    # either would import scipy._lib._util, which touches every lazy
+    # attribute of numpy: about 0.35 s of every start-up
+    code = ("import contextlib, io, sys\n"
+            "import coupledpdc.cli as cli\n"
+            "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy._lib._util',\n"
+            "         'scipy.optimize'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['sweep-length', '--preset', 'fig2',\n"
+            "                       '--steps', '50']),\n"
+            "             cli.main(['oracle-check', '--preset', 'fig2',\n"
+            "                       '--nmax', '4'])]\n"
+            "print(codes, sorted(heavy & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[0, 0] []"]
+
+
 def test_decompose_needs_exactly_one_device(capsys):
     assert run_cli("decompose") == EXIT_USAGE
     assert run_cli("decompose", "--gamma1", "0.1", "--r1", "0.1") == EXIT_USAGE

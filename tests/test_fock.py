@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 from hypothesis import example, given, settings
 
@@ -76,6 +77,14 @@ def test_index_of_refuses_kets_outside_the_basis(basis4):
         basis4.index_of([(1, 1, 0, 0), (1, 0, 0, 0)])
 
 
+def sparse_generator(dev, basis):
+    """:func:`build_generator`'s CSR arrays wrapped as a SciPy sparse
+    array, for the matrix operations the tests read it with."""
+    g = build_generator(dev, basis)
+    return scipy.sparse.csr_array((g.data, g.indices, g.indptr),
+                                  shape=(basis.size, basis.size))
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
 def test_generator_equals_loop_reference(n_max):
     full = loop_generator(**FIG2, n_max=n_max)
@@ -83,13 +92,13 @@ def test_generator_equals_loop_reference(n_max):
     # no term couples the sector to its complement
     assert not np.any(full[np.ix_(sector, ~sector)])
     assert not np.any(full[np.ix_(~sector, sector)])
-    g = build_generator(ContinuousDevice(**FIG2, length=1.0),
-                        FockBasis.build(n_max))
+    g = sparse_generator(ContinuousDevice(**FIG2, length=1.0),
+                         FockBasis.build(n_max))
     assert np.array_equal(g.toarray(), full[np.ix_(sector, sector)])
 
 
 def test_generator_zero_couplings():
-    g = build_generator(ContinuousDevice(0, 0, 0, 1.0), FockBasis.build(2))
+    g = sparse_generator(ContinuousDevice(0, 0, 0, 1.0), FockBasis.build(2))
     assert g.nnz == 0
     sector = sector_mask(2)
     assert np.array_equal(g.toarray(), loop_generator(
@@ -98,7 +107,7 @@ def test_generator_zero_couplings():
 
 def test_generator_pair_creation_amplitudes():
     basis = FockBasis.build(2)
-    g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
+    g = sparse_generator(ContinuousDevice(**FIG2, length=1.0), basis)
     vac = basis.index_of((0, 0, 0, 0))
     assert g[basis.index_of((1, 1, 0, 0)), vac] == pytest.approx(0.1)
     assert g[basis.index_of((0, 0, 1, 1)), vac] == pytest.approx(0.3)
@@ -107,8 +116,27 @@ def test_generator_pair_creation_amplitudes():
 
 
 def test_generator_is_hermitian(basis4):
-    g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis4)
+    g = sparse_generator(ContinuousDevice(**FIG2, length=1.0), basis4)
     assert abs(g - g.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [4, 8, 12])
+def test_generator_product_and_radius_match_scipy_sparse(n_max):
+    basis = FockBasis.build(n_max)
+    g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
+    # SciPy's canonical CSR of the same entries, handed over scrambled
+    rows = np.repeat(np.arange(basis.size), np.diff(g.indptr))
+    scramble = np.random.default_rng(n_max).permutation(len(g.data))
+    h = scipy.sparse.csr_matrix(
+        (g.data[scramble], (rows[scramble], g.indices[scramble])),
+        shape=(basis.size, basis.size))
+    for mine, scipys in zip((g.indptr, g.indices, g.data),
+                            (h.indptr, h.indices, h.data)):
+        assert mine.dtype == scipys.dtype
+        assert np.array_equal(mine, scipys)
+    x = np.random.default_rng(0).standard_normal(basis.size)
+    assert np.array_equal(fock._matvec(g, g.data, x), h @ x)
+    assert np.array_equal(fock._radius(g), abs(h).sum(axis=1).max())
 
 
 def test_evolve_zero_length_is_vacuum(basis4):
@@ -250,7 +278,7 @@ def test_evolve_nmax8_matches_dense_expm():
     dev = ContinuousDevice(**FIG2, length=2.0)
     basis = FockBasis.build(8)
     dense = scipy.linalg.expm(
-        1j * build_generator(dev, basis).toarray() * dev.length)[:, 0]
+        1j * sparse_generator(dev, basis).toarray() * dev.length)[:, 0]
     state = evolve(dev, basis)
     assert np.max(np.abs(state.amplitudes - dense)) <= 1e-13
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -233,6 +236,50 @@ def test_expm_without_scipy_openblas_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
     a = _fig2_stack(50)
     assert np.array_equal(expm(a), scipy.linalg.expm(a))
+
+
+def test_package_kernels_coexist_with_scipy_imported_later():
+    # the package loads SciPy's compiled kernels without their packages;
+    # scipy.linalg and scipy.sparse imported afterwards must reuse them,
+    # and a stack with an all-zero row (L = 0) imports scipy.linalg itself
+    code = textwrap.dedent("""
+        import importlib, sys
+        import numpy as np
+        import coupledpdc.fock as fock
+        import coupledpdc.linalg as linalg
+        from coupledpdc.device import ContinuousDevice, build_hamiltonian
+        pade = sys.modules["scipy.linalg._matfuncs_expm"]
+        sparsetools = sys.modules["scipy.sparse._sparsetools"]
+        assert "scipy.linalg" not in sys.modules
+        h = build_hamiltonian(ContinuousDevice(0.1, 0.3, 3.0, 0.0))
+        fig2 = 1j * h * np.linspace(0.5, 20.0, 50)[:, None, None]
+        mixed = 1j * h * np.linspace(0.0, 20.0, 50)[:, None, None]
+        got_mixed = linalg.expm(mixed)
+        assert "scipy.linalg" in sys.modules
+        import scipy.linalg, scipy.sparse
+        assert importlib.import_module("scipy.linalg._matfuncs_expm") is pade
+        assert scipy.linalg._matfuncs.pade_UV_calc is linalg.pade_UV_calc
+        assert importlib.import_module("scipy.sparse._sparsetools") \\
+            is sparsetools
+        assert np.array_equal(scipy.linalg.expm(fig2), linalg.expm(fig2))
+        assert np.array_equal(scipy.linalg.expm(mixed), got_mixed)
+        g = fock.build_generator(ContinuousDevice(0.1, 0.3, 3.0, 1.0),
+                                 fock.FockBasis.build(4))
+        x = np.linspace(-1.0, 1.0, len(g.indptr) - 1)
+        csr = scipy.sparse.csr_matrix((g.data, g.indices, g.indptr))
+        assert np.array_equal(csr @ x, fock._matvec(g, g.data, x))
+        print("ok")
+    """)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_scipy_extension_loader_names_a_missing_module():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_kernel"
+                                          r".* SciPy \d"):
+        linalg._scipy_extension("scipy.linalg._no_such_kernel")
 
 
 def test_tolerances_are_frozen():
