@@ -18,6 +18,12 @@ physical (commutator-preserving) transformation ``M`` satisfies
 The sweep engine builds a block of grid points as one ``(N, 4, 4)``
 stack (:func:`transfer_stack`, :func:`cascaded_stack`) and validates it
 with :func:`stack_failures`, the checks of :class:`TransferMatrix`.
+
+The continuous device's ``exp(iHL)`` is a closed form (:func:`expm`): the
+generator's characteristic polynomial is biquadratic, ``lambda^4 + (g1^2 +
+g2^2 - kappa^2) lambda^2 + g1^2 g2^2``, so (Cayley-Hamilton) a function of
+``H^2`` is a line through its values at two roots.  Threshold, a converter
+without gain, no idler coupling and ``L = 0`` are limits of that formula.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
     no_failures,
     raise_first,
 )
-from .linalg import as_complex_matrix, expm
+from .linalg import as_complex_matrix
 
 __all__ = [
     "ETA",
@@ -49,6 +55,7 @@ __all__ = [
     "cascaded_transfer_matrix",
     "transfer_stack",
     "cascaded_stack",
+    "expm",
     "stack_failures",
     "classify_regime",
     "symplectic_residual",
@@ -200,15 +207,108 @@ def build_hamiltonian(dev: ContinuousDevice) -> np.ndarray:
     return h
 
 
+#: ``(-1)^n / (2n + 1)!``, n >= 1: Taylor coefficients of ``S`` (see
+#: :func:`expm`), as many as full precision needs for ``|mu| <= 4``.
+_S_SERIES = [(-1) ** n / math.factorial(2 * n + 1) for n in range(1, 14)]
+
+
+def _cos_sinc(x: np.ndarray):
+    """``C(x) = cos(sqrt x)`` and ``S(x) = sin(sqrt x) / sqrt x`` of real
+    ``x``, entire in ``x``: ``cosh`` and ``sinh`` below 0, ``S(0) = 1``."""
+    r = np.sqrt(np.abs(x))
+    c = np.where(x >= 0, np.cos(r), np.cosh(r))
+    sin = np.where(x >= 0, np.sin(r), np.sinh(r))
+    return c, np.divide(sin, r, out=np.ones_like(r), where=r != 0)
+
+
+def _s_divided_difference(ss, dd, cs, sinc_s, cd, sinc_d, ab):
+    """``S[mu1, mu2]`` at ``mu = (s +- d)^2``, from ``s^2``, ``d^2``, their
+    ``C`` and ``S``, and ``ab = sqrt(mu1 mu2) = s^2 - d^2 = |g1 g2| L^2``.
+    Each of three forms runs where its denominator is at least about
+    ``max(|s^2|, |d^2|)``: the Taylor series in ``mu1 + mu2`` and
+    ``mu1 mu2`` while that is at most 1; else ``(C(s^2) S(d^2) - S(s^2)
+    C(d^2)) / 2ab`` while ``s^2`` and ``d^2`` lie apart (always when they
+    differ in sign, where the roots are complex); else the definition,
+    whose roots are then real and apart."""
+    rs, rd = np.sqrt(np.abs(ss)), np.sqrt(np.abs(dd))
+    sign = np.where(ss + dd >= 0, 1.0, -1.0)
+    s1, s2 = (_cos_sinc(sign * r * r)[1] for r in (rs + rd, rs - rd))
+    total, p = 2.0 * (ss + dd), ab * ab
+    h_prev, h, series = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
+    for coef in _S_SERIES:  # h = (mu1^n - mu2^n) / (mu1 - mu2)
+        series = series + coef * h
+        h_prev, h = h, total * h - p * h_prev
+    return np.where(np.maximum(np.abs(ss), np.abs(dd)) <= 1.0, series,
+                    np.where(p >= 4.0 * np.abs(ss * dd),
+                             (cs * sinc_d - sinc_s * cd) / (2.0 * ab),
+                             (s1 - s2) / (4.0 * sign * rs * rd)))
+
+
+def expm(a) -> np.ndarray:
+    """``exp(a)`` of a continuous device's generator ``a = i H L``, or of
+    each of a stack ``(..., 4, 4)`` of them, element-wise: a row of a
+    stack is bit-identical to the matrix alone.  ``g1 L``, ``g2 L`` and
+    ``kappa L`` are read from ``a[..., 0, 2]``, ``a[..., 1, 3]`` and
+    ``-a[..., 2, 3]``; any other matrix raises ``ValueError``.  Far above
+    threshold the entries overflow to non-finite values, which
+    :func:`stack_failures` reports.
+
+    With ``K = H L``, ``K^2`` has the eigenvalues ``mu = (s +- d)^2``,
+    where ``s^2 = (kappa^2 - (|g1| - |g2|)^2) L^2 / 4`` and ``d^2 =
+    (kappa^2 - (|g1| + |g2|)^2) L^2 / 4`` are real, and ``exp(iK) = C(K^2)
+    + i K S(K^2)`` for ``C(mu) = cos(sqrt mu)`` and ``S(mu) = sin(sqrt mu)
+    / sqrt mu``, each the line through its values at the roots:
+    ``f(K^2) = f_mean I + f[mu1, mu2] (K^2 - mu_mean I)``.  With
+    ``C_mean = C(s^2) C(d^2)``, ``C[mu1, mu2] = -S(s^2) S(d^2) / 2`` and
+    ``S_mean = C(s^2) S(d^2) - 2 s^2 S[mu1, mu2]``, all four coefficients
+    are real and smooth across every regime."""
+    a = np.asarray(a)
+    if a.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 generators, got shape {a.shape}")
+    x1, x2, y = a[..., 0, 2].imag, a[..., 1, 3].imag, -a[..., 2, 3].imag
+    k = np.zeros(a.shape)
+    k[..., 0, 2], k[..., 2, 0], k[..., 1, 3], k[..., 3, 1] = x1, -x1, x2, -x2
+    k[..., 2, 3] = k[..., 3, 2] = -y
+    if not np.array_equal(a, 1j * k):
+        raise ValueError("expm takes finite generators i H L of a "
+                         "continuous device (see build_hamiltonian)")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ax1, ax2, ay = np.abs(x1), np.abs(x2), np.abs(y)
+        hi, lo = np.maximum(ax1, ax2), np.minimum(ax1, ax2)
+        # the larger gain first: exact (|kappa| - |g1| - |g2|) L at threshold
+        ss = ((ay - hi) + lo) * ((ay + hi) - lo) / 4.0
+        dd = ((ay - hi) - lo) * ((ay + hi) + lo) / 4.0
+        (cs, sinc_s), (cd, sinc_d) = _cos_sinc(ss), _cos_sinc(dd)
+        c_mean, c_dd = cs * cd, -0.5 * sinc_s * sinc_d
+        s_dd = _s_divided_difference(ss, dd, cs, sinc_s, cd, sinc_d,
+                                     ax1 * ax2)
+        s_mean = cs * sinc_d - 2.0 * ss * s_dd
+        # K^2 - mu_mean I = diag(-p, -q, q, p) with corners -+ x1 y, -+ x2 y
+        mid = (y * y - x1 * x1 - x2 * x2) / 2.0
+        p, q = mid + x1 * x1, mid + x2 * x2
+        m = np.zeros(a.shape, dtype=complex)
+        re, im = m.real, m.imag
+        re[..., 0, 0], re[..., 3, 3] = c_mean - c_dd * p, c_mean + c_dd * p
+        re[..., 1, 1], re[..., 2, 2] = c_mean - c_dd * q, c_mean + c_dd * q
+        re[..., 3, 0], re[..., 2, 1] = c_dd * x1 * y, c_dd * x2 * y
+        re[..., 0, 3], re[..., 1, 2] = -re[..., 3, 0], -re[..., 2, 1]
+        im[..., 0, 1] = im[..., 1, 0] = s_dd * x1 * x2 * y
+        im[..., 0, 2] = x1 * (s_mean + s_dd * q)
+        im[..., 1, 3] = x2 * (s_mean + s_dd * p)
+        im[..., 2, 0], im[..., 3, 1] = -im[..., 0, 2], -im[..., 1, 3]
+        im[..., 2, 3] = im[..., 3, 2] = -y * (s_mean + s_dd * mid)
+    return m
+
+
 def transfer_matrix(dev: ContinuousDevice, tol: Tolerances = TOL) -> TransferMatrix:
     """Transfer matrix ``M = exp(i H L)`` of the continuous device."""
-    h = build_hamiltonian(dev)
-    return TransferMatrix(expm(1j * h * dev.length), tol=tol)
+    return TransferMatrix(transfer_stack(dev, np.array([dev.length]))[0],
+                          tol=tol)
 
 
 def transfer_stack(dev: ContinuousDevice, lengths: np.ndarray) -> np.ndarray:
     """:func:`transfer_matrix` of ``dev``'s couplings at each of
-    ``lengths``, bit-identical, from one stacked exponential."""
+    ``lengths``, bit-identical, from one call of :func:`expm`."""
     return expm(1j * build_hamiltonian(dev) * lengths[:, None, None])
 
 

@@ -19,8 +19,10 @@ of sparse matrix-vector products serves every length of a batch, and only
 the Bessel-function coefficients differ between lengths
 (:func:`expm_multiply`, :func:`evolve_stack`).  The generator is held as
 plain CSR arrays (:class:`CsrMatrix`), and each product runs SciPy's
-compiled ``csr_matvec``, the kernel behind a ``scipy.sparse`` product,
-loaded without importing ``scipy.sparse`` (see :mod:`coupledpdc.linalg`).
+compiled ``csr_matvec``, the kernel behind a ``scipy.sparse`` product.
+It is loaded from its compiled file, without importing ``scipy.sparse``:
+that package first imports ``scipy._lib._util``, which touches every lazy
+attribute of numpy and more than doubles start-up.
 
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
 in signal 1 and one in idler 1.
@@ -28,11 +30,17 @@ in signal 1 and one in idler 1.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import List, Tuple
 
 import numpy as np
+import scipy
 
 from .config import TOL, Tolerances
 from .device import ContinuousDevice
@@ -43,7 +51,6 @@ from .errors import (
     no_failures,
     raise_first,
 )
-from .linalg import _scipy_extension
 from .moments import CoherenceResult
 
 __all__ = [
@@ -137,6 +144,29 @@ class FockState:
     basis: FockBasis
     amplitudes: np.ndarray
     leakage: float
+
+
+def _scipy_extension(name: str) -> ModuleType:
+    """The compiled SciPy module ``name`` (``scipy.<subpackage>.<module>``),
+    loaded from its file without running its package's ``__init__``.
+
+    It is registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.sparse`` reuses it instead of initializing it a second
+    time.  Raises ``ImportError`` naming the module and SciPy's version
+    when no such file exists.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.rpartition(".")[0].split(".")
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), *package[1:])])
+    if spec is None:
+        raise ImportError(f"{name} not found in SciPy {scipy.__version__}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
 
 
 _csr_matvec = _scipy_extension("scipy.sparse._sparsetools").csr_matvec

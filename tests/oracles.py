@@ -1,15 +1,17 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths of the package under test: the
-matrix exponential is a plain scaled Taylor summation, and the squeezer
-forms are textbook closed formulas.  The number-basis references are
-the original per-state loops, indexed through a dictionary of occupation
-tuples built independently of the package's basis.
+matrix exponential is a plain scaled Taylor summation, or mpmath's at 50
+digits, and the squeezer forms are textbook closed formulas.  The
+number-basis references are the original per-state loops, indexed through
+a dictionary of occupation tuples built independently of the package's
+basis.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -38,6 +40,19 @@ def taylor_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def mpmath_transfer_matrix(g1: float, g2: float, kappa: float,
+                           length: float) -> np.ndarray:
+    """``exp(iHL)`` of the continuous device by mpmath's ``expm`` at 50
+    digits, from the exact binary values of the arguments (their products
+    are exact at that precision), correctly rounded to complex128."""
+    with mpmath.workdps(50):
+        h = mpmath.matrix([[0, 0, g1, 0], [0, 0, 0, g2],
+                           [-g1, 0, 0, -kappa], [0, -g2, -kappa, 0]])
+        m = mpmath.expm(h * (1j * mpmath.mpf(length)))
+        return np.array([[complex(m[i, j]) for j in range(4)]
+                         for i in range(4)])
 
 
 def squeezer_matrix(g: float) -> np.ndarray:

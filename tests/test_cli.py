@@ -301,21 +301,29 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse():
     # either would import scipy._lib._util, which touches every lazy
-    # attribute of numpy: about 0.35 s of every start-up
+    # attribute of numpy: about 0.35 s of every start-up; a length of 0
+    # and a device without couplings once took scipy.linalg's expm
     code = ("import contextlib, io, sys\n"
             "import coupledpdc.cli as cli\n"
             "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy._lib._util',\n"
-            "         'scipy.optimize'}\n"
+            "         'scipy.optimize', 'scipy.linalg._matfuncs_expm'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(['sweep-length', '--preset', 'fig2',\n"
             "                       '--steps', '50']),\n"
             "             cli.main(['oracle-check', '--preset', 'fig2',\n"
-            "                       '--nmax', '4'])]\n"
+            "                       '--nmax', '4']),\n"
+            "             cli.main(['sweep-length', '--gamma1', '0.1',\n"
+            "                       '--gamma2', '0', '--kappa', '3',\n"
+            "                       '--from', '0', '--to', '20',\n"
+            "                       '--steps', '50']),\n"
+            "             cli.main(['decompose', '--gamma1', '0',\n"
+            "                       '--gamma2', '0', '--kappa', '0',\n"
+            "                       '--length', '1'])]\n"
             "print(codes, sorted(heavy & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[0, 0] []"]
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
 
 
 def test_decompose_needs_exactly_one_device(capsys):

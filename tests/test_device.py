@@ -20,9 +20,10 @@ from coupledpdc.device import (
 )
 from coupledpdc.moments import intensities
 
-from oracles import squeezer_matrix, taylor_expm
+from oracles import mpmath_transfer_matrix, squeezer_matrix, taylor_expm
 
-SEMIGROUP_TOL = 1e-9  # composition consistency of exp(iHL)
+SEMIGROUP_TOL = 1e-9  # composition consistency of exp(iHL), relative
+EPS = 2.2e-16
 
 FIG2 = dict(gamma1=0.1, gamma2=0.3, kappa=3.0)
 
@@ -36,6 +37,45 @@ def below_threshold_devices(draw):
     length = draw(st.floats(0.0, 10.0))
     kappa = sign * (abs(g1) + abs(g2) + margin)
     return ContinuousDevice(g1, g2, kappa, length)
+
+
+@st.composite
+def devices(draw):
+    """Devices in every regime: below threshold, above it, exactly at it
+    and within 1e-9 and 1e-6 of it, a converter without gain, and no idler
+    coupling; lengths of 0 and 1e-6 among them."""
+    g1, g2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    regime = draw(st.sampled_from(["below", "above", "threshold",
+                                   "no-gain", "no-coupling"]))
+    gain = abs(g1) + abs(g2)
+    if regime == "below":
+        kappa = gain + draw(st.floats(0.05, 0.9))
+    elif regime == "above":
+        kappa = draw(st.floats(0.0, gain))
+    elif regime == "threshold":
+        kappa = gain + draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6]))
+    elif regime == "no-gain":
+        g2, kappa = 0.0, draw(st.floats(0.0, 3.0))
+    else:
+        kappa = 0.0
+    kappa *= draw(st.sampled_from([-1.0, 1.0]))
+    length = draw(st.one_of(st.sampled_from([0.0, 1e-6]),
+                            st.floats(0.0, 10.0)))
+    return ContinuousDevice(g1, g2, kappa, length)
+
+
+def _relative_error(dev: ContinuousDevice) -> float:
+    """Largest entry error of :func:`transfer_matrix` against mpmath's
+    exponential of the same generator, relative to ``max|M|`` and to
+    ``eps max(1, rho L)``, ``rho`` the spectral radius of ``H``."""
+    a = 1j * build_hamiltonian(dev) * dev.length
+    want = mpmath_transfer_matrix(a[0, 2].imag, a[1, 3].imag, -a[2, 3].imag,
+                                  1.0)
+    got = transfer_matrix(dev).matrix
+    assert np.isfinite(got).all()
+    rho_l = max(abs(np.linalg.eigvals(a)))
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want))
+                 / (EPS * max(1.0, rho_l)))
 
 
 def test_hamiltonian_entry_pattern():
@@ -82,22 +122,48 @@ def test_transfer_matrix_matches_series_oracle():
     assert np.max(np.abs(transfer_matrix(dev).matrix - want)) < 1e-13
 
 
+@pytest.mark.parametrize("gamma1, gamma2, kappa, length", [
+    (0.1, 0.3, 3.0, 0.5),
+    (0.1, 0.3, 3.0, 19.9),
+    (1.0, 1.0, 0.5, 20.0),
+    (0.5, 1.0, 1.5 + 1e-6, 1000.0),
+    # exactly at threshold, where the two roots of H^2 meet
+    (0.5, 1.0, 1.5, 0.01),
+    (0.5, 1.0, 1.5, 20.41795918367347),
+    (0.5, 1.0, 1.5, 1000.0),
+    # roots at 0: a nilpotent generator
+    (1.0, 0.0, 1.0, 50.0),
+])
+def test_transfer_matrix_accuracy_against_mpmath(gamma1, gamma2, kappa,
+                                                 length):
+    assert _relative_error(ContinuousDevice(gamma1, gamma2, kappa,
+                                            length)) <= 64
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(below_threshold_devices())
+@given(devices())
+def test_transfer_matrix_accuracy_in_every_regime(dev):
+    assert _relative_error(dev) <= 64
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(devices())
 def test_transfer_matrix_is_symplectic(dev):
-    assert symplectic_residual(transfer_matrix(dev).matrix) <= TOL.symplectic
+    m = transfer_matrix(dev).matrix
+    assert symplectic_residual(m) <= TOL.symplectic * max(
+        1.0, np.max(np.abs(m)) ** 2)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(below_threshold_devices(), st.floats(0.1, 0.9))
+@given(devices(), st.floats(0.1, 0.9))
 def test_transfer_matrix_semigroup(dev, split):
-    first = ContinuousDevice(dev.gamma1, dev.gamma2, dev.kappa,
-                             dev.length * split)
-    second = ContinuousDevice(dev.gamma1, dev.gamma2, dev.kappa,
-                              dev.length * (1.0 - split))
-    composed = transfer_matrix(second).matrix @ transfer_matrix(first).matrix
-    assert np.max(np.abs(composed - transfer_matrix(dev).matrix)) \
-        <= SEMIGROUP_TOL
+    first = transfer_matrix(ContinuousDevice(
+        dev.gamma1, dev.gamma2, dev.kappa, dev.length * split)).matrix
+    second = transfer_matrix(ContinuousDevice(
+        dev.gamma1, dev.gamma2, dev.kappa, dev.length * (1.0 - split))).matrix
+    scale = max(1.0, np.max(np.abs(first)) * np.max(np.abs(second)))
+    assert np.max(np.abs(second @ first - transfer_matrix(dev).matrix)) \
+        <= SEMIGROUP_TOL * scale
 
 
 def test_cascaded_zero_angle_decouples():

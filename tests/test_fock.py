@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -234,6 +237,39 @@ def test_evolve_calls_expm_multiply_once_through_the_module_name(
                                                     [0.5, 0.6]]
     assert len(builds) == 1
     assert capsys.readouterr().out.count("L=") == 6
+
+
+def test_sparsetools_coexist_with_scipy_sparse_imported_later():
+    # the package loads SciPy's compiled csr_matvec without scipy.sparse;
+    # scipy.sparse imported afterwards must reuse that module, and its
+    # products still work
+    code = textwrap.dedent("""
+        import importlib, sys
+        import numpy as np
+        import coupledpdc.fock as fock
+        from coupledpdc.device import ContinuousDevice
+        sparsetools = sys.modules["scipy.sparse._sparsetools"]
+        assert "scipy.sparse" not in sys.modules
+        import scipy.sparse
+        assert importlib.import_module("scipy.sparse._sparsetools") \\
+            is sparsetools
+        g = fock.build_generator(ContinuousDevice(0.1, 0.3, 3.0, 1.0),
+                                 fock.FockBasis.build(4))
+        x = np.linspace(-1.0, 1.0, len(g.indptr) - 1)
+        csr = scipy.sparse.csr_matrix((g.data, g.indices, g.indptr))
+        assert np.array_equal(csr @ x, fock._matvec(g, g.data, x))
+        print("ok")
+    """)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_scipy_extension_loader_names_a_missing_module():
+    with pytest.raises(ImportError, match=r"scipy\.sparse\._no_such_kernel"
+                                          r".* SciPy \d"):
+        fock._scipy_extension("scipy.sparse._no_such_kernel")
 
 
 def test_chebyshev_coefficients_match_bessel_functions():
