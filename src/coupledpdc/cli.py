@@ -27,14 +27,22 @@ records a per-row failure instead of raising, and a row's status names
 the first failed check of each stage.  The block size does not change
 any result: each row is bit-identical to the same point computed on its
 own through the single-point functions, which are batches of one.
+
+The output is assembled by column.  Each block appends its cells to one
+list per column, the status cells built only for the rows where a check
+failed, and :func:`render_csv` joins the lists line by line.  A sweep
+returns them as :class:`Rows`, which library callers read one row
+(a ``{column: cell}`` dict) at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -141,6 +149,11 @@ PRESETS = {
                  start=0.0, stop=math.pi / 2, steps=100),
 }
 
+#: Most grid points of one sweep.  A fig2 length sweep holds 1.26 kB of
+#: cells per row and peaks at 2.3 kB per row while its CSV is rendered
+#: (tracemalloc, 4,096 steps), so the largest sweep takes about 2.3 GB.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -164,8 +177,9 @@ class SweepConfig:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.start < self.stop:
             raise ValueError("sweep range must satisfy start < stop")
-        if self.steps < 2:
-            raise ValueError("a sweep needs at least 2 steps")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"a sweep needs 2 to {MAX_STEPS} steps, "
+                             f"got {self.steps}")
         # every grid point must make a valid device; the grid is
         # monotone, so its two ends suffice
         variable = "length" if self.kind == "length" else "psi"
@@ -271,17 +285,41 @@ def _psi_block(dev: CascadedDevice, psis: np.ndarray, tol: Tolerances):
 def _status(device: np.ndarray, stages) -> List[str]:
     """Status cells: the device's tag alone, else the tags of the failed
     stages joined by ``;``, else ``ok``."""
-    out = []
-    for i, exc in enumerate(device.tolist()):
-        tags = [f"{prefix}:{_tag(failed[i])}" for prefix, failed in stages
-                if failed[i] is not None]
-        out.append(f"device:{_tag(exc)}" if exc is not None
-                   else ";".join(tags) or "ok")
+    out = ["ok"] * len(device)
+    failed_rows = np.not_equal(device, None)
+    for _, failed in stages:
+        failed_rows |= np.not_equal(failed, None)
+    for i in np.flatnonzero(failed_rows):
+        out[i] = (f"device:{_tag(device[i])}" if device[i] is not None
+                  else ";".join(f"{prefix}:{_tag(failed[i])}"
+                                for prefix, failed in stages
+                                if failed[i] is not None))
     return out
 
 
-def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> List[dict]:
-    """One dict of column -> string per grid point, in grid order.
+class Rows(abc.Sequence):
+    """The rows of a sweep, held as one list of CSV cells per column.
+
+    Read one row at a time, it is a read-only sequence of ``{column:
+    cell}`` dicts in grid order, each built on access;
+    :func:`render_csv` joins the columns without building them.
+    """
+
+    def __init__(self, columns: Sequence[str], cells: Dict[str, List[str]]):
+        self.columns = tuple(columns)
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return len(self.cells[self.columns[0]])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return {c: self.cells[c][index] for c in self.columns}
+
+
+def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> Rows:
+    """The CSV cells of every grid point, in grid order.
 
     The grid goes through ``block`` :data:`BLOCK` points at a time.  No
     point aborts the sweep: a failure leaves the affected columns empty
@@ -289,7 +327,7 @@ def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> List[dict]:
     matrix or its occupations already fail).
     """
     grid = cfg.grid()
-    rows: List[dict] = []
+    rows = Rows(columns, {c: [] for c in columns})
     # overflow far above threshold is caught and tagged, not warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(grid), BLOCK):
@@ -297,39 +335,31 @@ def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> List[dict]:
             cells, device, stages = block(cfg.device, values, cfg.tol)
             cells[columns[0]] = _column(values)
             cells["status"] = _status(device, stages)
-            rows.extend(dict(zip(columns, row))
-                        for row in zip(*(cells[c] for c in columns)))
+            for c in columns:
+                rows.cells[c].extend(cells[c])
     return rows
 
 
-def sweep_length_rows(cfg: SweepConfig) -> List[dict]:
+def sweep_length_rows(cfg: SweepConfig) -> Rows:
     """Evaluate a length sweep of the continuous device (see
     :func:`_sweep_rows`)."""
     return _sweep_rows(cfg, LENGTH_COLUMNS, _length_block)
 
 
-def sweep_psi_rows(cfg: SweepConfig) -> List[dict]:
+def sweep_psi_rows(cfg: SweepConfig) -> Rows:
     """Evaluate an alignment-angle sweep of the cascaded device (see
     :func:`_sweep_rows`); the raw coherence of the cascade construction
     is negated so that full alignment reports +1."""
     return _sweep_rows(cfg, PSI_COLUMNS, _psi_block)
 
 
-def render_csv(columns: Sequence[str], rows: List[dict],
-               selected: Optional[Sequence[str]] = None) -> str:
-    names = list(columns) if selected is None else [
-        c for c in columns if c in selected]
+def render_csv(rows: Rows, selected: Optional[Sequence[str]] = None) -> str:
+    """CSV text of ``rows``: the header, then one line per row, of the
+    ``selected`` columns (all by default) in the sweep's column order."""
+    names = [c for c in rows.columns if selected is None or c in selected]
     lines = [",".join(names)]
-    lines.extend(",".join(row[name] for name in names) for row in rows)
+    lines.extend(map(",".join, zip(*(rows.cells[c] for c in names))))
     return "\n".join(lines) + "\n"
-
-
-def _write(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def _describe(columns: Sequence[str]) -> str:
@@ -447,8 +477,16 @@ def _cmd_sweep(args, kind: str) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = (sweep_length_rows if kind == "length" else sweep_psi_rows)(cfg)
-    _write(render_csv(columns, rows, cfg.columns), cfg.out)
+    # the output is opened before any grid point is computed
+    try:
+        out = (contextlib.nullcontext(sys.stdout) if cfg.out == "-" else
+               open(cfg.out, "w", encoding="utf-8", newline="\n"))
+    except OSError as exc:
+        print(f"cannot write --out {cfg.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    with out as fh:
+        rows = (sweep_length_rows if kind == "length" else sweep_psi_rows)(cfg)
+        fh.write(render_csv(rows, cfg.columns))
     return EXIT_OK
 
 
@@ -457,6 +495,8 @@ def _parse_columns(args, known: Sequence[str]) -> Optional[Sequence[str]]:
         return None
     wanted = [c.strip() for c in args.columns.split(",") if c.strip()]
     unknown = sorted(set(wanted) - set(known))
+    if not wanted:
+        raise ValueError("--columns names no column")
     if unknown:
         raise ValueError(f"unknown columns: {', '.join(unknown)}")
     return wanted

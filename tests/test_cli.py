@@ -15,9 +15,12 @@ from coupledpdc.cli import (
     EXIT_TOLERANCE,
     EXIT_USAGE,
     LENGTH_COLUMNS,
+    MAX_STEPS,
     PSI_COLUMNS,
+    SweepConfig,
     main,
 )
+from coupledpdc.device import ContinuousDevice
 
 
 def run_cli(*argv):
@@ -122,8 +125,57 @@ def test_usage_errors():
     # unknown column
     assert run_cli("sweep-psi", "--r1", "0.1", "--r2", "0.1", "--steps", "2",
                    "--columns", "nope") == EXIT_USAGE
+    # a column list that names no column
+    assert run_cli("sweep-psi", "--r1", "0.1", "--r2", "0.1", "--steps", "2",
+                   "--columns", ",") == EXIT_USAGE
     # unknown subcommand (argparse usage failure)
     assert run_cli("frobnicate") == EXIT_USAGE
+
+
+def test_unwritable_out_is_a_usage_error_before_any_point(tmp_path, capsys,
+                                                          monkeypatch):
+    from coupledpdc import cli
+
+    def no_sweep(cfg):
+        raise AssertionError("a grid point was computed")
+
+    monkeypatch.setattr(cli, "sweep_length_rows", no_sweep)
+    monkeypatch.setattr(cli, "sweep_psi_rows", no_sweep)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run_cli("sweep-length", "--preset", "fig2",
+                       "--out", str(out)) == EXIT_USAGE
+        assert run_cli("sweep-psi", "--preset", "fig7",
+                       "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and all(str(out) in line for line in lines)
+        assert "Traceback" not in captured.err
+
+
+def test_steps_beyond_the_cap_are_a_usage_error(capsys):
+    # refused in the config, before the grid is allocated: MAX_STEPS + 1
+    # steps would take gigabytes, the refusal next to nothing
+    import tracemalloc
+    dev = ContinuousDevice(0.1, 0.3, 3.0, 0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"2 to {MAX_STEPS} steps"):
+            SweepConfig(kind="length", device=dev, start=0.01, stop=20.0,
+                        steps=MAX_STEPS + 1)
+        assert run_cli("sweep-length", "--preset", "fig2",
+                       "--steps", str(MAX_STEPS + 1)) == EXIT_USAGE
+        assert run_cli("sweep-length", "--preset", "fig2",
+                       "--steps", "100000000000") == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.count(f"2 to {MAX_STEPS} steps") == 2
+    assert "Traceback" not in err
+    assert SweepConfig(kind="length", device=dev, start=0.01, stop=20.0,
+                       steps=MAX_STEPS).steps == MAX_STEPS
 
 
 def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):

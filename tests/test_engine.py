@@ -10,8 +10,11 @@ import coupledpdc.cli as cli
 from coupledpdc.cli import (
     BLOCK,
     LENGTH_COLUMNS,
+    PRESETS,
+    PSI_COLUMNS,
     SweepConfig,
     sweep_length_rows,
+    sweep_psi_rows,
 )
 from coupledpdc.config import Tolerances
 from coupledpdc.decompose import (
@@ -20,6 +23,7 @@ from coupledpdc.decompose import (
     extract_interferometer,
 )
 from coupledpdc.device import (
+    CascadedDevice,
     ContinuousDevice,
     build_hamiltonian,
     transfer_matrix,
@@ -207,3 +211,39 @@ def test_a_length_sweep_calls_expm_once_per_block(monkeypatch):
     h = build_hamiltonian(FIG2)
     for stack, lengths in zip(stacks, blocks):
         assert np.array_equal(stack, 1j * h * lengths[:, None, None])
+
+
+def _csv_of_main(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("preset, steps", [("fig2", 50), ("fig7", 100)])
+def test_rows_and_csv_are_two_views_of_one_engine(preset, steps, capsys):
+    p = PRESETS[preset]
+    if p["kind"] == "length":
+        device, rows_of, columns = FIG2, sweep_length_rows, LENGTH_COLUMNS
+        argv = ["sweep-length"]
+    else:
+        device = CascadedDevice(p["r1"], p["r2"], 0.0)
+        rows_of, columns, argv = sweep_psi_rows, PSI_COLUMNS, ["sweep-psi"]
+    argv += ["--preset", preset, "--steps", str(steps)]
+    rows = rows_of(SweepConfig(kind=p["kind"], device=device, start=p["start"],
+                               stop=p["stop"], steps=steps))
+    header, cells = _csv_of_main(argv, capsys)
+    assert header == list(columns) and len(cells) == steps
+    parsed = [dict(zip(header, line)) for line in cells]
+    # the row view: length, iteration, indexing from either end, slices
+    assert len(rows) == steps
+    assert list(rows) == parsed
+    assert [rows[i] for i in range(steps)] == parsed
+    assert rows[-1] == parsed[-1] and rows[-steps] == parsed[0]
+    assert rows[1:4] == parsed[1:4] and rows[::-7] == parsed[::-7]
+    with pytest.raises(IndexError):
+        rows[steps]
+    # a selection keeps the canonical column order, whatever order it names
+    picked = [columns[1], columns[0]]
+    header, sub = _csv_of_main(argv + ["--columns", ",".join(picked)], capsys)
+    assert header == [columns[0], columns[1]]
+    assert sub == [line[:2] for line in cells]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from coupledpdc.device import (
     transfer_matrix,
 )
 from coupledpdc.errors import NonFiniteMatrixError, PdcModelError
+from coupledpdc.linalg import atan2, atanh, cosh, sinh, square
 
 from oracles import mpmath_transfer_matrix, taylor_expm
 
@@ -158,3 +160,98 @@ def test_tolerances_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         TOL.symplectic = 1.0  # type: ignore[misc]
     assert isinstance(TOL, Tolerances)
+
+
+# ---------------------------------------------------------------------------
+# the element-wise helpers of the batched engine, rounded as ``math`` rounds
+
+SAMPLE = 100_000
+
+
+def _math_of(fn, *args) -> np.ndarray:
+    """``fn`` of :mod:`math` on each element of the broadcast ``args``."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    values = [fn(*xs) for xs in zip(*(a.ravel().tolist() for a in args))]
+    return np.array(values, dtype=float).reshape(args[0].shape)
+
+
+def _assert_bits(got, want):
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_square_is_math_pow_bit_for_bit():
+    rng = np.random.default_rng(20)
+    x = rng.uniform(1.0, 10.0, SAMPLE) * 10.0 ** rng.uniform(-150, 150, SAMPLE)
+    want = _math_of(lambda v: math.pow(v, 2.0), x)
+    # a square by multiplication (numpy's array power) misses these
+    assert np.count_nonzero(x * x != want) > 0
+    _assert_bits(square(x), want)
+    _assert_bits(square(-x), want)
+
+
+def test_square_edges():
+    with np.errstate(over="ignore"):
+        # at or above 1e300 (where math.pow would raise on overflow)
+        big = np.array([1e151, 1e154, 2e154, 1e300, -1e200])
+        _assert_bits(square(big), big * big)
+        x = np.array([[9.99e149, 1e200], [np.inf, 0.3]])
+        got = square(x)
+    _assert_bits(got, np.array([[math.pow(9.99e149, 2.0), np.inf],
+                                [np.inf, math.pow(0.3, 2.0)]]))
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-170, 5e-324])
+    _assert_bits(square(special), special * special)
+    _assert_bits(square(np.array(3.0)), np.array(9.0))
+    _assert_bits(square(np.array(np.nan)), np.array(np.nan))
+    _assert_bits(square(np.zeros(0)), np.zeros(0))
+    _assert_bits(square(np.zeros((0, 4, 2))), np.zeros((0, 4, 2)))
+
+
+@pytest.mark.parametrize("helper, fn, numpy_fn, low, high", [
+    (atanh, math.atanh, np.arctanh, -1.0, 1.0),
+    (cosh, math.cosh, np.cosh, -30.0, 30.0),
+    (sinh, math.sinh, np.sinh, -30.0, 30.0),
+], ids=["atanh", "cosh", "sinh"])
+def test_one_argument_helpers_are_math_bit_for_bit(helper, fn, numpy_fn,
+                                                   low, high):
+    rng = np.random.default_rng(21)
+    x = rng.uniform(low, high, SAMPLE)
+    want = _math_of(fn, x)
+    # numpy's own loop misses these
+    assert np.count_nonzero(numpy_fn(x) != want) > 0
+    _assert_bits(helper(x), want)
+    edges = np.array([0.0, -0.0, np.nan, 1e-300, -1e-300, 0.5])
+    _assert_bits(helper(edges), _math_of(fn, edges))
+    _assert_bits(helper(np.array(0.25)), np.array(fn(0.25)))
+    _assert_bits(helper(np.zeros(0)), np.zeros(0))
+
+
+def test_atanh_near_the_edge_of_its_domain():
+    x = 1.0 - 10.0 ** -np.arange(1.0, 16.0)
+    _assert_bits(atanh(x), _math_of(math.atanh, x))
+    _assert_bits(atanh(-x), _math_of(math.atanh, -x))
+
+
+def test_cosh_and_sinh_at_large_and_infinite_arguments():
+    x = np.array([700.0, -700.0, np.inf, -np.inf])
+    _assert_bits(cosh(x), _math_of(math.cosh, x))
+    _assert_bits(sinh(x), _math_of(math.sinh, x))
+
+
+def test_atan2_is_math_bit_for_bit_and_broadcasts():
+    rng = np.random.default_rng(22)
+    y, x = rng.standard_normal(SAMPLE), rng.standard_normal(SAMPLE)
+    want = _math_of(math.atan2, y, x)
+    assert np.count_nonzero(np.arctan2(y, x) != want) > 0
+    _assert_bits(atan2(y, x), want)
+    # broadcasting: a column against a row, and an array against a scalar
+    col, row = y[:7, None], x[:5]
+    _assert_bits(atan2(col, row), _math_of(math.atan2, col, row))
+    _assert_bits(atan2(y[:9], -1.5), _math_of(math.atan2, y[:9], -1.5))
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0])
+    _assert_bits(atan2(edges[:, None], edges),
+                 _math_of(math.atan2, edges[:, None], edges))
+    _assert_bits(atan2(np.array(1.0), np.array(-1.0)),
+                 np.array(math.atan2(1.0, -1.0)))
+    _assert_bits(atan2(np.zeros(0), np.zeros(0)), np.zeros(0))
