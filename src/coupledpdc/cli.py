@@ -77,15 +77,15 @@ from .errors import (
     UndefinedCoherenceError,
     first_of,
 )
-# evolve, the single-length route, stays importable here for the
-# per-layer tracer of bench/spans.py
+# evolve and fock_observables, the single-state routes, stay importable
+# here for the per-layer tracer of bench/spans.py
 from .fock import (
     FockBasis,
     build_generator,
     evolve,
     evolve_stack,
     fock_observables,
-    mode_occupations,
+    observables_stack,
 )
 
 EXIT_OK = 0
@@ -545,26 +545,24 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
     coh, coh_failed = mom.coherence_of(ms, failed)
     states, fock_failed = evolve_stack(generator, basis, grid)
     failed = first_of(failed, fock_failed)
+    observables, undefined = observables_stack(states)
+    # an undefined coherence on either side skips dgamma, the number
+    # basis's first; one beyond the unit bound fails the length
+    gamma_failed = first_of(undefined, coh_failed)
     out: List[Union[OracleDeviation, Exception]] = []
-    for i, state in enumerate(states):
+    for i, obs in enumerate(observables):
         if failed[i] is not None:
             out.append(failed[i])
             continue
-        n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
         b = {mode: float(value[i]) for mode, value in ms.b.items()}
-        dint = max(abs(n_s1 - b["s1"]), abs(n_s2 - b["s2"]),
-                   abs(n_i1 - b["i1"]), abs(n_i2 - b["i2"]))
-        try:
-            obs = fock_observables(state)
-            if coh_failed[i] is not None:
-                raise coh_failed[i]
-            dgamma = abs(obs.coherence.gamma - float(coh.gamma[i]))
-        except UndefinedCoherenceError:
-            dgamma = None
-        except CoherenceBoundError as exc:
-            out.append(exc)
+        dint = max(abs(obs.n_s1 - b["s1"]), abs(obs.n_s2 - b["s2"]),
+                   abs(obs.n_i1 - b["i1"]), abs(obs.n_i2 - b["i2"]))
+        if isinstance(gamma_failed[i], CoherenceBoundError):
+            out.append(gamma_failed[i])
             continue
-        out.append(OracleDeviation(dint, dgamma, state.leakage))
+        dgamma = (None if gamma_failed[i] is not None else
+                  abs(obs.coherence.gamma - float(coh.gamma[i])))
+        out.append(OracleDeviation(dint, dgamma, states[i].leakage))
     return out
 
 

@@ -4,8 +4,8 @@ The continuous device's full interaction generator is represented exactly
 on photon-number states with a per-mode cutoff and applied, exponentiated,
 to the vacuum.  Intensities and the signal coherence computed this way
 make no Gaussian assumption, so agreement with the transfer-matrix route
-cross-validates both, as long as little population reaches the truncation
-boundary (tracked by a leakage proxy).
+cross-validates both, as long as the cutoff is high enough (which the
+leakage proxy of :class:`FockState` does not show).
 
 Every term of the generator conserves ``(n_s1 + n_s2) - (n_i1 + n_i2)``
 (pairs are created together, idlers only exchanged), so the basis holds
@@ -17,7 +17,8 @@ so the exponential is applied by a Chebyshev expansion (Tal-Ezer &
 Kosloff, J. Chem. Phys. 81, 3967, 1984): one real three-term recurrence
 of sparse matrix-vector products serves every length of a batch, and only
 the Bessel-function coefficients differ between lengths
-(:func:`expm_multiply`, :func:`evolve_stack`).  The generator is held as
+(:func:`expm_multiply`, :func:`evolve_stack`, :func:`observables_stack`).
+The generator is held as
 plain CSR arrays (:class:`CsrMatrix`), and each product runs SciPy's
 compiled ``csr_matvec``, the kernel behind a ``scipy.sparse`` product.
 It is loaded from its compiled file, without importing ``scipy.sparse``:
@@ -37,7 +38,7 @@ import os
 import sys
 from dataclasses import dataclass
 from types import ModuleType
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -62,6 +63,7 @@ __all__ = [
     "expm_multiply",
     "evolve_stack",
     "evolve",
+    "observables_stack",
     "mode_occupations",
     "fock_observables",
     "pair_component",
@@ -137,8 +139,12 @@ class FockBasis:
 class FockState:
     """State vector over a :class:`FockBasis` with truncation diagnostics.
 
-    ``leakage`` is the total population of boundary kets (any mode at the
-    cutoff), a conservative proxy for the truncation error.
+    ``leakage`` is the final population of boundary kets (any mode at the
+    cutoff).  A large one shows the cutoff too low, but a small one bounds
+    neither the truncation error accumulated along the length nor the
+    coherence's: at fig2, L = 1000, ``n_max = 4`` leaks 5.7e-7 with the
+    coherence off by 1.4e-3 (2.5e-9 at ``n_max = 8``).  Two cutoffs
+    measure it (ROADMAP item 6).
     """
 
     basis: FockBasis
@@ -188,14 +194,14 @@ class CsrMatrix:
     data: np.ndarray                   # (nnz,) float64 entries
 
 
-def _matvec(matrix: CsrMatrix, data: np.ndarray,
-            vector: np.ndarray) -> np.ndarray:
-    """``A @ vector`` for the matrix ``A`` with the sparsity of ``matrix``
-    and the entries ``data``, summed row by row in column order into
-    zeros, as a ``scipy.sparse`` product sums."""
-    size = len(matrix.indptr) - 1
-    out = np.zeros(size)
-    _csr_matvec(size, size, matrix.indptr, matrix.indices, data, vector, out)
+def _matvec(matrix: CsrMatrix, data: np.ndarray, vector: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """``out = A @ vector`` for the matrix ``A`` with the sparsity of
+    ``matrix`` and the entries ``data``, summed row by row in column order
+    into zeros, as a ``scipy.sparse`` product sums."""
+    out.fill(0.0)
+    _csr_matvec(len(out), len(out), matrix.indptr, matrix.indices, data,
+                vector, out)
     return out
 
 
@@ -257,6 +263,11 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
 #: whose coefficient is smaller than this.
 SERIES_FLOOR = 1e-18
 
+#: Bytes of Chebyshev vectors :func:`expm_multiply` keeps between folds,
+#: unless its floor of 4 vectors exceeds them (from ``n_max = 58``), and
+#: the most terms per fold.
+FOLD_BYTES, FOLD_TERMS = 4 * 2 ** 20, 32
+
 # sign of i**k, which multiplies the real part for even k and the
 # imaginary part for odd k
 _PHASE = np.array([1.0, 1.0, -1.0, -1.0])
@@ -301,6 +312,12 @@ def _bessel_series(x: float) -> np.ndarray:
     return series
 
 
+def _fold_width(size: int) -> int:
+    """Even terms per fold of ``size``-vectors; at least 4, so a chunk's
+    rows never overwrite the two vectors the recurrence reads."""
+    return max(4, min(FOLD_TERMS, FOLD_BYTES // (8 * size)) // 2 * 2)
+
+
 def expm_multiply(generator: CsrMatrix, vector: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
     """Rows ``exp(i L H) v`` for each ``L`` of ``lengths``, for a real
@@ -313,30 +330,41 @@ def expm_multiply(generator: CsrMatrix, vector: np.ndarray,
     length; only the Bessel coefficients, which feed the real part (even
     ``k``) or the imaginary part (odd ``k``), differ.  A length's series
     has about ``rL + 12 (rL)^(1/3)`` terms, each one matrix-vector
-    product.  A length whose series is shorter than the batch's adds exact
-    zeros for the remaining terms, so each row is bit-identical to the
-    same length run alone.
+    product.  The vectors fill a reused buffer a chunk of
+    :func:`_fold_width` terms at a time, and each chunk is folded into each
+    length's real and imaginary parts by two BLAS vector-matrix products.
+    The chunks are fixed in ``k`` by the basis size, the last one is
+    zero-padded, and a length whose series has ended folds no more, so each
+    row is bit-identical to the same length run alone.
     """
     radius = _radius(generator)
     series = [_bessel_series(radius * length)
               for length in np.asarray(lengths, dtype=float).tolist()]
-    coef = np.zeros((len(series), max(map(len, series))))
+    width = _fold_width(len(vector))
+    terms = max(map(len, series))
+    coef = np.zeros((len(series), -(-terms // width) * width))
     for row, values in zip(coef, series):
         row[:len(values)] = values
     coef *= _PHASE[np.arange(coef.shape[1]) % 4]
     out = np.zeros((len(series), len(vector)), dtype=complex)
-    parts = [out.real, out.imag]
-    previous, current = None, vector
-    for k, column in enumerate(coef.T):
-        if k == 1:
-            scaled = generator.data * (2.0 / radius)
-            previous, current = (current,
-                                 _matvec(generator, generator.data, current)
-                                 / radius)
-        elif k > 1:
-            previous, current = (current,
-                                 _matvec(generator, scaled, current) - previous)
-        parts[k % 2] += column[:, None] * current
+    rows = np.zeros((width, len(vector)))
+    rows[0] = vector
+    ring = list(rows)                           # w_k is ring[k % width]
+    for start in range(0, coef.shape[1], width):
+        for k in range(max(1, start), min(terms, start + width)):
+            row = ring[k % width]
+            if k == 1:
+                scaled = generator.data * (2.0 / radius)
+                _matvec(generator, generator.data, vector, out=row)
+                row /= radius
+            else:
+                _matvec(generator, scaled, ring[(k - 1) % width], out=row)
+                row -= ring[(k - 2) % width]
+        for parity, part in enumerate((out.real, out.imag)):
+            weights = coef[:, start + parity:start + width:2]
+            for i, values in enumerate(series):
+                if len(values) > start:
+                    part[i] += weights[i] @ rows[parity::2]
     return out
 
 
@@ -399,42 +427,56 @@ class FockObservables:
     coherence: CoherenceResult
 
 
-def mode_occupations(state: FockState) -> Tuple[float, float, float, float]:
-    """Mean photon numbers ``(n_s1, n_i1, n_s2, n_i2)`` of ``state``."""
-    probs = np.abs(state.amplitudes) ** 2
-    return tuple(
-        float(np.sum(probs * state.basis.occupations[:, mode]))
-        for mode in range(4)
-    )
+def observables_stack(states: Sequence[FockState], tol: Tolerances = TOL,
+                      ) -> Tuple[List[FockObservables], np.ndarray]:
+    """Exact mode occupations and mutual signal coherence of each of
+    ``states``, all on one basis, from one set of index arrays.
 
-
-def fock_observables(state: FockState, tol: Tolerances = TOL) -> FockObservables:
-    """Exact mode occupations and mutual signal coherence of ``state``."""
-    basis = state.basis
-    psi = state.amplitudes
-    n = mode_occupations(state)
-
-    # <A_s1^+ A_s2>: lower mode s2 (index 2), raise mode s1 (index 0)
+    Returns the observables and each state's failure, an
+    :class:`~coupledpdc.errors.UndefinedCoherenceError` (and a meaningless
+    coherence) where a signal occupation is at most
+    ``tol.coherence_epsilon``.  Each state is reduced alone, as
+    :func:`fock_observables` reduces it.
+    """
+    basis = states[0].basis
     occ = basis.occupations
+    columns = occ.T.astype(float)
+    # <A_s1^+ A_s2>: lower mode s2 (index 2), raise mode s1 (index 0)
     source = np.flatnonzero((occ[:, 2] > 0) & (occ[:, 0] < basis.n_max))
     amp = np.sqrt(occ[source, 2]) * np.sqrt(occ[source, 0] + 1)
     target = np.searchsorted(
         basis.keys, basis.keys[source] + basis.strides[0] - basis.strides[2])
-    cross = complex(np.sum(np.conj(psi[target]) * amp * psi[source]))
+    n = np.empty((len(states), 4))
+    cross = np.empty(len(states), dtype=complex)
+    for i, state in enumerate(states):
+        psi = state.amplitudes
+        n[i] = np.sum(np.abs(psi) ** 2 * columns, axis=1)
+        cross[i] = np.sum(np.conj(psi[target]) * amp * psi[source])
+    failed = no_failures(len(states))
+    low = np.minimum(n[:, 0], n[:, 2])
+    undefined = low <= tol.coherence_epsilon
+    flag(failed, undefined, lambda i: UndefinedCoherenceError(
+        f"signal occupations ({n[i, 0]:.3e}, {n[i, 2]:.3e}) are too small "
+        "to normalize the cross-correlation"))
+    value = -1j * cross / np.sqrt(np.where(undefined, 1.0, n[:, 0] * n[:, 2]))
+    return [FockObservables(*row.tolist(), CoherenceResult(
+        float(v.real), float(abs(v.imag)), bool(lo < tol.coherence_fragile)))
+        for row, v, lo in zip(n, value, low)], failed
 
-    if n[0] <= tol.coherence_epsilon or n[2] <= tol.coherence_epsilon:
-        raise UndefinedCoherenceError(
-            f"signal occupations ({n[0]:.3e}, {n[2]:.3e}) are too small to "
-            "normalize the cross-correlation"
-        )
-    value = -1j * cross / math.sqrt(n[0] * n[2])
-    coherence = CoherenceResult(
-        gamma=float(value.real),
-        imag_residue=float(abs(value.imag)),
-        fragile=min(n[0], n[2]) < tol.coherence_fragile,
-    )
-    return FockObservables(n_s1=n[0], n_i1=n[1], n_s2=n[2], n_i2=n[3],
-                           coherence=coherence)
+
+def mode_occupations(state: FockState) -> Tuple[float, float, float, float]:
+    """Mean photon numbers ``(n_s1, n_i1, n_s2, n_i2)`` of ``state``."""
+    (obs,), _ = observables_stack([state])
+    return obs.n_s1, obs.n_i1, obs.n_s2, obs.n_i2
+
+
+def fock_observables(state: FockState, tol: Tolerances = TOL) -> FockObservables:
+    """Exact mode occupations and mutual signal coherence of ``state``
+    (:func:`observables_stack` on a batch of one); raises the failure it
+    records."""
+    (obs,), failed = observables_stack([state], tol)
+    raise_first(failed)
+    return obs
 
 
 def pair_component(state: FockState) -> np.ndarray:

@@ -1,7 +1,9 @@
 import math
+import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,7 +140,8 @@ def test_generator_product_and_radius_match_scipy_sparse(n_max):
         assert mine.dtype == scipys.dtype
         assert np.array_equal(mine, scipys)
     x = np.random.default_rng(0).standard_normal(basis.size)
-    assert np.array_equal(fock._matvec(g, g.data, x), h @ x)
+    assert np.array_equal(fock._matvec(g, g.data, x, np.empty(basis.size)),
+                          h @ x)
     assert np.array_equal(fock._radius(g), abs(h).sum(axis=1).max())
 
 
@@ -257,7 +260,7 @@ def test_sparsetools_coexist_with_scipy_sparse_imported_later():
                                  fock.FockBasis.build(4))
         x = np.linspace(-1.0, 1.0, len(g.indptr) - 1)
         csr = scipy.sparse.csr_matrix((g.data, g.indices, g.indptr))
-        assert np.array_equal(csr @ x, fock._matvec(g, g.data, x))
+        assert np.array_equal(csr @ x, fock._matvec(g, g.data, x, 0 * x))
         print("ok")
     """)
     proc = subprocess.run([sys.executable, "-c", code],
@@ -319,16 +322,84 @@ def test_evolve_nmax8_matches_dense_expm():
     assert np.max(np.abs(state.amplitudes - dense)) <= 1e-13
 
 
-def test_evolve_stack_rows_equal_single_lengths(basis4):
-    lengths = np.array([0.0, 2.0, 0.5, 1e-9, 1.5])
-    dev = ContinuousDevice(**FIG2, length=0.0)
-    states, failed = evolve_stack(build_generator(dev, basis4), basis4,
-                                  lengths)
+def test_evolve_stack_rows_equal_single_lengths():
+    # at nmax 8 the fig2 series have 1 (L = 0 and 1e-20), 3, 47, 97, 159
+    # and 258 terms, so they end in the folds 0, 0, 1, 3, 4 and 8 of 32
+    # terms; the zero generator (radius 0) gives one-term series only
+    basis = FockBasis.build(8)
+    assert fock._fold_width(basis.size) == 32
+    lengths = np.array([0.0, 2.0, 0.3, 1e-20, 3.7, 1e-9, 1.0])
+    for couplings in (FIG2, dict(gamma1=0.0, gamma2=0.0, kappa=0.0)):
+        generator = build_generator(
+            ContinuousDevice(**couplings, length=0.0), basis)
+        states, failed = evolve_stack(generator, basis, lengths)
+        assert all(f is None for f in failed)
+        observables, undefined = fock.observables_stack(states)
+        for i, (length, state) in enumerate(zip(lengths, states)):
+            alone = evolve(ContinuousDevice(**couplings, length=length),
+                           basis)
+            assert np.array_equal(state.amplitudes, alone.amplitudes)
+            assert state.leakage == alone.leakage
+            # the block's row equals the single-state observables, field
+            # by field, also where the coherence is undefined
+            if undefined[i] is not None:
+                with pytest.raises(UndefinedCoherenceError):
+                    fock_observables(alone)
+                assert mode_occupations(alone) == (
+                    observables[i].n_s1, observables[i].n_i1,
+                    observables[i].n_s2, observables[i].n_i2)
+            else:
+                assert fock_observables(alone) == observables[i]
+    assert all(np.count_nonzero(s.amplitudes) == 1 for s in states)
+
+
+def test_evolve_stack_memory_stays_within_the_fold_buffer():
+    # 45,961 states: 10 terms per fold.  The per-term accumulation this
+    # fold replaced peaked at 7,677,844 traced bytes here (numpy 2.4),
+    # the four lengths' amplitudes (2,941,504) included
+    basis = FockBasis.build(40)
+    assert fock._fold_width(basis.size) == 10
+    generator = build_generator(ContinuousDevice(**FIG2, length=0.0), basis)
+    lengths = np.array([0.5, 1.0, 1.5, 2.0])
+    tracemalloc.start()
+    try:
+        states, failed = evolve_stack(generator, basis, lengths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert all(f is None for f in failed)
-    for length, state in zip(lengths, states):
-        alone = evolve(ContinuousDevice(**FIG2, length=length), basis4)
-        assert np.array_equal(state.amplitudes, alone.amplitudes)
-        assert state.leakage == alone.leakage
+    assert peak <= 7_677_844 + fock.FOLD_BYTES
+
+
+def test_evolve_stack_amplitudes_do_not_depend_on_blas_threads():
+    # the folds are BLAS vector-matrix products; at nmax 20 (6,181
+    # states, folds of 32 terms) OpenBLAS splits them over its threads
+    code = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from coupledpdc import fock
+        from coupledpdc.device import ContinuousDevice
+        for n_max in (8, 20):
+            basis = fock.FockBasis.build(n_max)
+            generator = fock.build_generator(
+                ContinuousDevice(0.1, 0.3, 3.0, 0.0), basis)
+            states, _ = fock.evolve_stack(
+                generator, basis, np.array([0.5, 1.0, 1.5, 2.0]))
+            amplitudes = np.array([s.amplitudes for s in states])
+            print(hashlib.sha256(amplitudes.tobytes()).hexdigest())
+    """)
+    outputs = []
+    for threads in ("1", None):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_evolve_stack_records_leakage_per_length():
