@@ -65,6 +65,7 @@ from .device import (
 )
 from .errors import (
     CoherenceBoundError,
+    DegenerateGeometryError,
     ExtractionResidualError,
     NonFiniteMatrixError,
     NonRealCorrelationError,
@@ -75,6 +76,7 @@ from .errors import (
     TanhDomainError,
     TruncationLeakageError,
     UndefinedCoherenceError,
+    ZeroSchemeError,
     first_of,
 )
 # evolve and fock_observables, the single-state routes, stay importable
@@ -206,6 +208,8 @@ _STATUS_TAGS = {
     PairConservationError: "pair-conservation",
     CoherenceBoundError: "coherence-bound",
     ParameterCapError: "parameter-cap",
+    ZeroSchemeError: "zero-scheme",
+    DegenerateGeometryError: "degenerate-geometry",
 }
 
 
@@ -592,8 +596,9 @@ def _cmd_oracle_check(args) -> int:
     except ValueError:
         print(f"could not parse --points {args.points!r}", file=sys.stderr)
         return EXIT_USAGE
-    if not lengths or args.nmax < 1:
-        print("need at least one length and --nmax >= 1", file=sys.stderr)
+    if not lengths or args.nmax < 1 or not 0.0 <= args.tolerance < math.inf:
+        print("need at least one length, --nmax >= 1 and a finite "
+              "--tolerance >= 0", file=sys.stderr)
         return EXIT_USAGE
 
     probe = ContinuousDevice(**merged_args, length=0.0)
@@ -678,10 +683,13 @@ def _cmd_decompose(args) -> int:
         print(f"zou_g1={_fmt(s.g1)} zou_g2={_fmt(s.g2)} "
               f"zou_g4={_fmt(s.g4)} zou_g5={_fmt(s.g5)} "
               f"zou_residual={_fmt(zou.residual)}")
-        geo = ww.geometry(s)
-        print(f"uv_dot={_fmt(geo.dot)} uv_cross={_fmt(geo.cross)} "
-              f"uv_angle={_fmt(geo.angle)} gamma_sq={_fmt(geo.gamma_sq)} "
-              f"degenerate={int(geo.degenerate)}")
+        try:
+            geo = ww.geometry(s)
+            print(f"uv_dot={_fmt(geo.dot)} uv_cross={_fmt(geo.cross)} "
+                  f"uv_angle={_fmt(geo.angle)} gamma_sq="
+                  f"{_fmt(geo.gamma_sq)} degenerate={int(geo.degenerate)}")
+        except PdcModelError as exc:
+            print(f"which-way geometry failed: {_tag(exc)}")
         bound = dec.gain_bound(tm, s)
         print(f"signal_total={_fmt(bound.signal_total)} "
               f"scheme_total={_fmt(bound.scheme_total)} "

@@ -318,10 +318,13 @@ def cascaded_stack(dev: CascadedDevice, psis: np.ndarray) -> np.ndarray:
 
     Rows are the input-output relations of the two-crystal cascade written
     in the mixed basis; the idler rows are the conjugated relations for
-    the daggered operators.
+    the daggered operators.  All entries are infinite if a ``cosh`` overflows.
     """
-    ch1, sh1 = math.cosh(dev.r1), math.sinh(dev.r1)
-    ch2, sh2 = math.cosh(dev.r2), math.sinh(dev.r2)
+    try:
+        ch1, sh1 = math.cosh(dev.r1), math.sinh(dev.r1)
+        ch2, sh2 = math.cosh(dev.r2), math.sinh(dev.r2)
+    except OverflowError:
+        return np.full(psis.shape + (4, 4), complex(math.inf))
     c, s = np.cos(psis), np.sin(psis)
     m = np.zeros(psis.shape + (4, 4), dtype=complex)
     # A_s1_out = A_s1 ch1 + i A_i1^+ sh1

@@ -18,12 +18,12 @@ Kosloff, J. Chem. Phys. 81, 3967, 1984): one real three-term recurrence
 of sparse matrix-vector products serves every length of a batch, and only
 the Bessel-function coefficients differ between lengths
 (:func:`expm_multiply`, :func:`evolve_stack`, :func:`observables_stack`).
-The generator is held as
-plain CSR arrays (:class:`CsrMatrix`), and each product runs SciPy's
-compiled ``csr_matvec``, the kernel behind a ``scipy.sparse`` product.
-It is loaded from its compiled file, without importing ``scipy.sparse``:
-that package first imports ``scipy._lib._util``, which touches every lazy
-attribute of numpy and more than doubles start-up.
+The generator is held as CSR arrays and its Gershgorin radius
+(:class:`CsrMatrix`); each product runs SciPy's compiled ``csr_matvec``,
+the kernel behind a ``scipy.sparse`` product, which takes a row's columns
+in any order.  It is loaded from its compiled file, without importing
+``scipy.sparse``: that package first imports ``scipy._lib._util``, which
+touches every lazy attribute of numpy and more than doubles start-up.
 
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
 in signal 1 and one in idler 1.
@@ -183,36 +183,27 @@ class CsrMatrix:
     """A square real matrix in compressed sparse row form.
 
     Row ``i`` holds the entries ``data[indptr[i]:indptr[i + 1]]`` in the
-    columns ``indices[indptr[i]:indptr[i + 1]]``, in ascending column order
-    and without duplicates: SciPy's canonical CSR layout, with ``int32``
-    indices, so ``scipy.sparse.csr_array((data, indices, indptr),
-    shape=(size, size))`` wraps it without a copy.
+    columns ``indices[indptr[i]:indptr[i + 1]]``, not necessarily ascending,
+    without duplicates or stored zeros and with ``int32`` indices, so
+    ``scipy.sparse.csr_array((data, indices, indptr), shape=(size, size))``
+    wraps it without a copy.
     """
 
     indptr: np.ndarray                 # (size + 1,) int32 row offsets
     indices: np.ndarray                # (nnz,) int32 columns
     data: np.ndarray                   # (nnz,) float64 entries
+    radius: float                      # largest absolute row sum
 
 
 def _matvec(matrix: CsrMatrix, data: np.ndarray, vector: np.ndarray,
             out: np.ndarray) -> np.ndarray:
     """``out = A @ vector`` for the matrix ``A`` with the sparsity of
-    ``matrix`` and the entries ``data``, summed row by row in column order
+    ``matrix`` and the entries ``data``, summed row by row in storage order
     into zeros, as a ``scipy.sparse`` product sums."""
     out.fill(0.0)
     _csr_matvec(len(out), len(out), matrix.indptr, matrix.indices, data,
                 vector, out)
     return out
-
-
-def _radius(matrix: CsrMatrix) -> float:
-    """The largest absolute row sum of ``matrix``, a Gershgorin bound on
-    its spectrum (0 for the zero matrix).  Rows are summed as
-    ``scipy.sparse`` sums them, by ``np.add.reduceat``; a product with
-    ones can differ in the last bit, which would move every amplitude."""
-    filled = np.flatnonzero(np.diff(matrix.indptr))
-    sums = np.add.reduceat(np.abs(matrix.data), matrix.indptr[filled])
-    return float(sums.max(initial=0.0))
 
 
 def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
@@ -224,8 +215,9 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
     construction (the cutoff drops both directions of a boundary-crossing
     transition).  Each term is one masked array operation over all source
     states; its target key is the source key plus the strides of the modes
-    it steps, and every target inside the cutoff is in the sector.  The
-    entries are then sorted into SciPy's canonical CSR order.
+    it steps, and every target inside the cutoff is in the sector.  A term
+    reaches a row at most once, so term ``t`` fills column ``t`` of a
+    ``(size, 6)`` table; its entries, row by row, are the CSR arrays.
     """
     terms = (
         (dev.gamma1, (0, +1), (1, +1)),
@@ -235,28 +227,26 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
         (dev.kappa, (1, -1), (3, +1)),
         (dev.kappa, (1, +1), (3, -1)),
     )
-    occ = basis.occupations
-    rows, cols, vals = [], [], []
-    for coef, *steps in terms:
+    cols = np.zeros((basis.size, len(terms)), dtype=np.int32)
+    vals = np.zeros((basis.size, len(terms)))
+    for t, (coef, *steps) in enumerate(terms):
         keep = np.full(basis.size, coef != 0.0)
         amp = np.full(basis.size, coef)
         for mode, step in steps:
-            n = occ[:, mode]
+            n = basis.occupations[:, mode]
             keep &= (n < basis.n_max) if step > 0 else (n > 0)
             amp = amp * np.sqrt(n + (step > 0))
         offset = sum(step * basis.strides[mode] for mode, step in steps)
-        rows.append(np.searchsorted(basis.keys, basis.keys[keep] + offset))
-        cols.append(np.flatnonzero(keep))
-        vals.append(amp[keep])
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    order = np.lexsort((cols, rows))
+        rows = np.searchsorted(basis.keys, basis.keys[keep] + offset)
+        cols[rows, t] = np.flatnonzero(keep)
+        vals[rows, t] = amp[keep]
+    filled = vals != 0.0
     indptr = np.zeros(basis.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=basis.size), out=indptr[1:])
-    arrays = (indptr, cols[order].astype(np.int32),
-              vals[order].astype(float))
+    np.cumsum(np.count_nonzero(filled, axis=1), out=indptr[1:])
+    arrays = (indptr, cols[filled], vals[filled])
     for array in arrays:
         array.flags.writeable = False
-    return CsrMatrix(*arrays)
+    return CsrMatrix(*arrays, float(np.abs(vals).sum(axis=1).max(initial=0)))
 
 
 #: A length's Chebyshev series ends at the first order above its argument
@@ -337,8 +327,7 @@ def expm_multiply(generator: CsrMatrix, vector: np.ndarray,
     zero-padded, and a length whose series has ended folds no more, so each
     row is bit-identical to the same length run alone.
     """
-    radius = _radius(generator)
-    series = [_bessel_series(radius * length)
+    series = [_bessel_series(generator.radius * length)
               for length in np.asarray(lengths, dtype=float).tolist()]
     width = _fold_width(len(vector))
     terms = max(map(len, series))
@@ -354,9 +343,9 @@ def expm_multiply(generator: CsrMatrix, vector: np.ndarray,
         for k in range(max(1, start), min(terms, start + width)):
             row = ring[k % width]
             if k == 1:
-                scaled = generator.data * (2.0 / radius)
+                scaled = generator.data * (2.0 / generator.radius)
                 _matvec(generator, generator.data, vector, out=row)
-                row /= radius
+                row /= generator.radius
             else:
                 _matvec(generator, scaled, ring[(k - 1) % width], out=row)
                 row -= ring[(k - 2) % width]

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,49 @@ def test_oracle_check_tolerance_breach(capsys):
     assert run_cli("oracle-check", "--preset", "fig2", "--points", "1.0",
                    "--nmax", "3", "--tolerance", "1e-12") == EXIT_TOLERANCE
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-3"])
+def test_oracle_check_refuses_a_non_finite_or_negative_tolerance(tolerance,
+                                                                 capsys):
+    # every comparison with NaN is false, so a NaN tolerance passed always
+    assert run_cli("oracle-check", "--preset", "fig2", "--nmax", "4",
+                   f"--tolerance={tolerance}") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a finite --tolerance >= 0" in captured.err
+
+
+def test_cascade_squeezing_beyond_cosh_overflow_is_non_finite(capsys):
+    # math.cosh(800) overflows; the device is tagged, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep-psi", "--r1", "800", "--r2", "0.1",
+                       "--steps", "3") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(line.endswith(",device:non-finite") for line in lines[1:])
+        assert run_cli("decompose", "--r1", "800", "--r2", "0.1",
+                       "--psi", "0.5") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invalid device: matrix has non-finite entries"]
+
+
+@pytest.mark.parametrize("device", [
+    ("--gamma1", "0", "--gamma2", "0", "--kappa", "0", "--length", "1"),
+    ("--gamma1", "0", "--gamma2", "0", "--kappa", "0", "--length", "0"),
+    ("--r1", "0", "--r2", "0", "--psi", "0"),
+])
+def test_decompose_names_the_geometry_stage_of_a_zero_scheme(device, capsys):
+    assert run_cli("decompose", *device) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4].startswith("zou_g1=0.0 ")
+    assert lines[-3] == "which-way geometry failed: zero-scheme"
+    assert lines[-2].startswith("signal_total=0.0 ")
+    assert lines[-1].startswith("ou_g1=0.0 ")
+    assert not any("extraction failed" in line for line in lines)
 
 
 def test_decompose_continuous(capsys):

@@ -129,20 +129,26 @@ def test_generator_is_hermitian(basis4):
 def test_generator_product_and_radius_match_scipy_sparse(n_max):
     basis = FockBasis.build(n_max)
     g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
-    # SciPy's canonical CSR of the same entries, handed over scrambled
-    rows = np.repeat(np.arange(basis.size), np.diff(g.indptr))
-    scramble = np.random.default_rng(n_max).permutation(len(g.data))
-    h = scipy.sparse.csr_matrix(
-        (g.data[scramble], (rows[scramble], g.indices[scramble])),
-        shape=(basis.size, basis.size))
+    h = scipy.sparse.csr_array((g.data, g.indices, g.indptr),
+                               shape=(basis.size, basis.size))
+    # wrapped without a copy
     for mine, scipys in zip((g.indptr, g.indices, g.data),
                             (h.indptr, h.indices, h.data)):
-        assert mine.dtype == scipys.dtype
-        assert np.array_equal(mine, scipys)
+        assert np.shares_memory(mine, scipys)
     x = np.random.default_rng(0).standard_normal(basis.size)
-    assert np.array_equal(fock._matvec(g, g.data, x, np.empty(basis.size)),
-                          h @ x)
-    assert np.array_equal(fock._radius(g), abs(h).sum(axis=1).max())
+    y = fock._matvec(g, g.data, x, np.empty(basis.size))
+    # SciPy's product of the same arrays, bit for bit
+    assert np.array_equal(y, h @ x)
+    # its canonical layout sums each row in column order instead
+    canonical = h.copy()
+    canonical.sort_indices()
+    assert np.max(np.abs(y - canonical @ x)) <= 1e-15 * np.max(np.abs(y))
+    # no duplicate column within a row and no stored zero
+    rows = np.repeat(np.arange(basis.size), np.diff(g.indptr))
+    assert len(np.unique(rows * basis.size + g.indices)) == len(g.indices)
+    assert np.all(g.data != 0.0)
+    sums = np.abs(h.toarray()).sum(axis=1).max()
+    assert abs(g.radius - sums) <= 4 * np.spacing(sums)
 
 
 def test_evolve_zero_length_is_vacuum(basis4):
