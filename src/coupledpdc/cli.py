@@ -84,6 +84,7 @@ from .errors import (
 from .fock import (
     FockBasis,
     build_generator,
+    check_lengths,
     evolve,
     evolve_stack,
     fock_observables,
@@ -610,6 +611,7 @@ def _cmd_oracle_check(args) -> int:
 
     basis = FockBasis.build(args.nmax)
     generator = build_generator(probe, basis)
+    check_lengths(generator, lengths)
     worst_intensity = 0.0
     worst_gamma = 0.0
     worst_leak = 0.0
@@ -659,7 +661,11 @@ def _cmd_decompose(args) -> int:
         return EXIT_USAGE
     if args.nmax > 0 and not _oracle_applies(dev, "decompose --nmax"):
         return EXIT_USAGE
-    basis = FockBasis.build(args.nmax) if args.nmax > 0 else None
+    basis = generator = None
+    if args.nmax > 0:
+        basis = FockBasis.build(args.nmax)
+        generator = build_generator(dev, basis)
+        check_lengths(generator, [dev.length])
     if continuous:
         print(f"device=continuous gamma1={_fmt(dev.gamma1)} "
               f"gamma2={_fmt(dev.gamma2)} kappa={_fmt(dev.kappa)} "
@@ -706,8 +712,7 @@ def _cmd_decompose(args) -> int:
     except PdcModelError as exc:
         print(f"interferometer extraction failed: {_tag(exc)}")
     if basis is not None:
-        (deviation,) = oracle_deviations(
-            dev, basis, build_generator(dev, basis), [dev.length])
+        (deviation,) = oracle_deviations(dev, basis, generator, [dev.length])
         if isinstance(deviation, TruncationLeakageError):
             print(f"nmax={args.nmax}: {deviation}", file=sys.stderr)
             return EXIT_LEAKAGE

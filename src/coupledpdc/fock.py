@@ -12,16 +12,20 @@ Every term of the generator conserves ``(n_s1 + n_s2) - (n_i1 + n_i2)``
 only the vacuum's zero-charge sector: ``n(n+1)(2n+1)/3 + (n+1)^2`` states
 at cutoff ``n`` instead of ``(n+1)^4``.
 
-The generator is real and symmetric and does not depend on the length,
-so the exponential is applied by a Chebyshev expansion (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 3967, 1984): one real three-term recurrence
-of sparse matrix-vector products serves every length of a batch, and only
-the Bessel-function coefficients differ between lengths
-(:func:`expm_multiply`, :func:`evolve_stack`, :func:`observables_stack`).
-The generator is held as CSR arrays and its Gershgorin radius
-(:class:`CsrMatrix`); each product runs SciPy's compiled ``csr_matvec``,
-the kernel behind a ``scipy.sparse`` product, which takes a row's columns
-in any order.  It is loaded from its compiled file, without importing
+Every term also flips the parity of ``n_s1 + n_i2``, so the generator is
+chiral: with the basis split into its even half (the vacuum's) and its
+odd half, ``H = [[0, B^T], [B, 0]]``, and it is stored as the two blocks
+``B`` and ``B^T`` (:class:`ChiralGenerator`).  It is real and does not
+depend on the length, so the exponential is applied by a Chebyshev
+expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one real
+three-term recurrence of half-size sparse matrix-vector products serves
+every length of a batch, and only the Bessel-function coefficients differ
+between lengths (:func:`expm_multiply`, :func:`evolve_stack`,
+:func:`observables_stack`).  The series is sized by a Collatz-Wielandt
+upper bound on the spectral radius, taken once when the generator is
+built.  Each product runs SciPy's compiled ``csr_matvec``, the kernel
+behind a ``scipy.sparse`` product, which takes a row's columns in any
+order.  It is loaded from its compiled file, without importing
 ``scipy.sparse``: that package first imports ``scipy._lib._util``, which
 touches every lazy attribute of numpy and more than doubles start-up.
 
@@ -59,6 +63,7 @@ __all__ = [
     "FockState",
     "FockObservables",
     "CsrMatrix",
+    "ChiralGenerator",
     "build_generator",
     "expm_multiply",
     "evolve_stack",
@@ -180,19 +185,37 @@ _csr_matvec = _scipy_extension("scipy.sparse._sparsetools").csr_matvec
 
 @dataclass(frozen=True)
 class CsrMatrix:
-    """A square real matrix in compressed sparse row form.
+    """A real matrix in compressed sparse row form.
 
     Row ``i`` holds the entries ``data[indptr[i]:indptr[i + 1]]`` in the
     columns ``indices[indptr[i]:indptr[i + 1]]``, not necessarily ascending,
     without duplicates or stored zeros and with ``int32`` indices, so
-    ``scipy.sparse.csr_array((data, indices, indptr), shape=(size, size))``
+    ``scipy.sparse.csr_array((data, indices, indptr), shape=(rows, cols))``
     wraps it without a copy.
     """
 
-    indptr: np.ndarray                 # (size + 1,) int32 row offsets
+    indptr: np.ndarray                 # (rows + 1,) int32 row offsets
     indices: np.ndarray                # (nnz,) int32 columns
     data: np.ndarray                   # (nnz,) float64 entries
-    radius: float                      # largest absolute row sum
+
+
+@dataclass(frozen=True)
+class ChiralGenerator:
+    """The number-basis generator ``H`` as its two parity blocks.
+
+    ``even`` and ``odd`` are the ascending basis rows of the two halves,
+    ``n_s1 + n_i2`` even (the vacuum's, row 0) or odd.  ``to_odd`` is
+    ``B``, the block from the even half to the odd half (rows index
+    ``odd``, columns ``even``), and ``to_even`` is ``B^T``; every entry of
+    ``H`` is in one of them.  ``radius`` bounds the spectral radius of
+    ``H`` from above (:func:`_spectral_bound`).
+    """
+
+    even: np.ndarray                   # (n_even,) basis rows
+    odd: np.ndarray                    # (n_odd,) basis rows
+    to_odd: CsrMatrix                  # (n_odd, n_even) block B
+    to_even: CsrMatrix                 # (n_even, n_odd) block B^T
+    radius: float
 
 
 def _matvec(matrix: CsrMatrix, data: np.ndarray, vector: np.ndarray,
@@ -201,13 +224,58 @@ def _matvec(matrix: CsrMatrix, data: np.ndarray, vector: np.ndarray,
     ``matrix`` and the entries ``data``, summed row by row in storage order
     into zeros, as a ``scipy.sparse`` product sums."""
     out.fill(0.0)
-    _csr_matvec(len(out), len(out), matrix.indptr, matrix.indices, data,
+    _csr_matvec(len(out), len(vector), matrix.indptr, matrix.indices, data,
                 vector, out)
     return out
 
 
-def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
-    """Sparse real symmetric generator of the device in the number basis.
+#: Power steps on ``|B|^T |B|`` before its Collatz-Wielandt ratio is read,
+#: and the shift each adds (relative to the largest entry of ``|B|``, which
+#: is scaled into [0.5, 1)), so that the vector stays positive where a row
+#: of ``B`` is zero.  For fig2 at ``--nmax 8`` the bound reads 43.88 after
+#: 0 steps, 38.72 after 1, 38.22 after 2 and 38.01 after 3 (spectral
+#: radius 37.15, Gershgorin 50.90): past one step, each step's two
+#: half-size products cost more than the terms it saves.
+POWER_STEPS, POWER_SHIFT = 1, 2.0 ** -20
+
+#: Relative margin on the bound, thousands of times its rounding error:
+#: each row of a product with ``|B|`` or ``|B|^T`` sums at most six
+#: nonnegative products, so the ratio and its square root are within about
+#: 16 units in the last place of their exact values.
+RADIUS_MARGIN = 1e-12
+
+
+def _spectral_bound(to_odd: CsrMatrix, to_even: CsrMatrix) -> float:
+    """Upper bound on the spectral radius of ``H = [[0, B^T], [B, 0]]``.
+
+    ``rho(H) <= rho(|H|)`` for any real entries, and ``rho(|H|)^2 =
+    rho(|B|^T |B|) <= max_i (|B|^T |B| x)_i / x_i`` for every positive
+    ``x`` (Collatz-Wielandt).  ``x`` is the all-ones vector after
+    :data:`POWER_STEPS` shifted power steps.  ``|B|`` is scaled by a power
+    of two, exactly, so that its square cannot overflow.  Zero couplings
+    give 0.
+    """
+    down = np.abs(to_odd.data)
+    unit = 2.0 ** math.frexp(down.max(initial=0.0))[1]
+    down /= unit
+    up = np.abs(to_even.data) / unit
+    mid = np.empty(len(to_odd.indptr) - 1)
+
+    def square(x: np.ndarray) -> np.ndarray:
+        return _matvec(to_even, up, _matvec(to_odd, down, x, mid),
+                       np.empty_like(x))
+
+    x = np.ones(len(to_even.indptr) - 1)
+    for _ in range(POWER_STEPS):
+        x = square(x) + POWER_SHIFT * x
+    ratio = float(np.max(square(x) / x))
+    return unit * math.sqrt(ratio) * (1.0 + RADIUS_MARGIN)
+
+
+def build_generator(dev: ContinuousDevice, basis: FockBasis
+                    ) -> ChiralGenerator:
+    """Sparse real symmetric generator of the device in the number basis,
+    as its two parity blocks.
 
     Terms: pair creation/annihilation on (s1,i1) and (s2,i2) with
     strengths gamma1/gamma2, and idler exchange with strength kappa; each
@@ -217,7 +285,10 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
     states; its target key is the source key plus the strides of the modes
     it steps, and every target inside the cutoff is in the sector.  A term
     reaches a row at most once, so term ``t`` fills column ``t`` of a
-    ``(size, 6)`` table; its entries, row by row, are the CSR arrays.
+    ``(size, 6)`` table.  Each term flips the parity of ``n_s1 + n_i2``,
+    so with the even half's rows first and each column numbered within
+    its half, the table's first rows hold ``B^T`` and the rest ``B``;
+    their entries, row by row, are the CSR arrays of the two blocks.
     """
     terms = (
         (dev.gamma1, (0, +1), (1, +1)),
@@ -227,6 +298,15 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
         (dev.kappa, (1, -1), (3, +1)),
         (dev.kappa, (1, +1), (3, -1)),
     )
+    odd = (basis.occupations[:, 0] + basis.occupations[:, 3]) % 2 == 1
+    halves = np.flatnonzero(~odd), np.flatnonzero(odd)
+    split = len(halves[0])
+    # a state's row within its half, and in the table (even half first)
+    local = np.empty(basis.size, dtype=np.int32)
+    for half in halves:
+        local[half] = np.arange(len(half))
+        half.flags.writeable = False
+    table_row = local + split * odd
     cols = np.zeros((basis.size, len(terms)), dtype=np.int32)
     vals = np.zeros((basis.size, len(terms)))
     for t, (coef, *steps) in enumerate(terms):
@@ -237,24 +317,37 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis) -> CsrMatrix:
             keep &= (n < basis.n_max) if step > 0 else (n > 0)
             amp = amp * np.sqrt(n + (step > 0))
         offset = sum(step * basis.strides[mode] for mode, step in steps)
-        rows = np.searchsorted(basis.keys, basis.keys[keep] + offset)
-        cols[rows, t] = np.flatnonzero(keep)
+        rows = table_row[np.searchsorted(basis.keys,
+                                          basis.keys[keep] + offset)]
+        cols[rows, t] = local[keep]
         vals[rows, t] = amp[keep]
     filled = vals != 0.0
     indptr = np.zeros(basis.size + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(filled, axis=1), out=indptr[1:])
-    arrays = (indptr, cols[filled], vals[filled])
-    for array in arrays:
+    indices, data = cols[filled], vals[filled]
+    nnz = indptr[split]
+    odd_indptr = indptr[split:] - nnz
+    for array in (indptr, indices, data, odd_indptr):
         array.flags.writeable = False
-    return CsrMatrix(*arrays, float(np.abs(vals).sum(axis=1).max(initial=0)))
+    to_even = CsrMatrix(indptr[:split + 1], indices[:nnz], data[:nnz])
+    to_odd = CsrMatrix(odd_indptr, indices[nnz:], data[nnz:])
+    return ChiralGenerator(*halves, to_odd, to_even,
+                           _spectral_bound(to_odd, to_even))
 
 
 #: A length's Chebyshev series ends at the first order above its argument
 #: whose coefficient is smaller than this.
 SERIES_FLOOR = 1e-18
 
+#: Highest order the Bessel recurrence of a series may start from, which
+#: is within 70 of ``e x / 2`` for an argument ``x`` above 60.  At the cap
+#: :func:`_bessel_series` takes about 2.4 s and a 44 MB peak (tracemalloc)
+#: per length, and an ``--nmax 8`` length about 4 s in all (2 virtual
+#: CPUs); its series has about 736,000 terms.
+MAX_ORDER = 1_000_000
+
 #: Bytes of Chebyshev vectors :func:`expm_multiply` keeps between folds,
-#: unless its floor of 4 vectors exceeds them (from ``n_max = 58``), and
+#: unless its floor of 4 vectors exceeds them (from ``n_max = 73``), and
 #: the most terms per fold.
 FOLD_BYTES, FOLD_TERMS = 4 * 2 ** 20, 32
 
@@ -263,26 +356,53 @@ FOLD_BYTES, FOLD_TERMS = 4 * 2 ** 20, 32
 _PHASE = np.array([1.0, 1.0, -1.0, -1.0])
 
 
+def _check_argument(x: float) -> None:
+    """Raise ``ValueError`` unless ``x`` is a finite Chebyshev argument
+    ``>= 0`` whose series starts at most at order :data:`MAX_ORDER`."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"Chebyshev argument must be finite and >= 0, "
+                         f"got {x!r}")
+    if math.e * x / 2 > MAX_ORDER:
+        raise ValueError(f"Chebyshev argument {x:.6g} (spectral bound "
+                         f"times length) needs a series above order "
+                         f"{MAX_ORDER}")
+
+
+def check_lengths(generator: ChiralGenerator, lengths: Sequence[float]
+                  ) -> None:
+    """Raise ``ValueError`` for the first of ``lengths`` that
+    :func:`expm_multiply` would refuse with ``generator``, before any
+    work: one whose Chebyshev series would start above
+    :data:`MAX_ORDER`."""
+    for length in lengths:
+        _check_argument(generator.radius * length)
+
+
 def _bessel_series(x: float) -> np.ndarray:
     """``(2 - delta_k0) J_k(x)`` for ``k = 0, 1, ...`` up to the first order
     above ``x >= 0`` where it is below :data:`SERIES_FLOOR`.
 
     Miller's backward recurrence ``J_{k-1} = (2k/x) J_k - J_{k+1}``,
-    started where ``(x/2)^k / k!``, a bound on ``J_k(x)``, is below 1e-30,
-    rescaled before it can overflow and normalized by
-    ``J_0 + 2 (J_2 + J_4 + ...) = 1``.  Below the floor ``J_0(x)`` rounds
-    to 1 and ``2 J_1(x) ~ x`` is already under it.
+    started at the first order from ``e x / 2`` where ``(x/2)^k / k!``, a
+    bound on ``J_k(x)``, is below 1e-30, rescaled before it can overflow
+    and normalized by ``J_0 + 2 (J_2 + J_4 + ...) = 1``.  Below the floor
+    ``J_0(x)`` rounds to 1 and ``2 J_1(x) ~ x`` is already under it.
+    Raises ``ValueError`` where :func:`check_lengths` would.
     """
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"Chebyshev argument must be finite and >= 0, "
-                         f"got {x!r}")
+    _check_argument(x)
     if x < SERIES_FLOOR:
         return np.ones(1)
     log_half = math.log(x / 2)
-    # below order e x / 2 the bound exceeds 1 / (e sqrt(k)), far above 1e-30
-    top = math.ceil(math.e * x / 2)
-    while top * log_half - math.lgamma(top + 1) > -69.0:   # ln 1e-30
-        top += 1
+    # the bound falls with k from order e x / 2; by Stirling it is below
+    # e^-k <= 1e-30 at k >= max(69, e^2 x / 2), so bisect between the two
+    low = math.ceil(math.e * x / 2) - 1
+    top = max(69, math.ceil(math.e ** 2 * x / 2))
+    while top - low > 1:
+        mid = (low + top) // 2
+        if mid * log_half - math.lgamma(mid + 1) > -69.0:   # ln 1e-30
+            low = mid
+        else:
+            top = mid
     j = [0.0] * (top + 2)
     j[top] = this = 1.0
     above = 0.0
@@ -308,52 +428,67 @@ def _fold_width(size: int) -> int:
     return max(4, min(FOLD_TERMS, FOLD_BYTES // (8 * size)) // 2 * 2)
 
 
-def expm_multiply(generator: CsrMatrix, vector: np.ndarray,
+def expm_multiply(generator: ChiralGenerator, vector: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
-    """Rows ``exp(i L H) v`` for each ``L`` of ``lengths``, for a real
-    symmetric sparse ``H`` and a real vector ``v``.
+    """Rows ``exp(i L H) v`` for each ``L`` of ``lengths``, for the
+    generator ``H`` and a real vector ``v`` that is zero on the odd half
+    (as the vacuum is); any other ``v`` raises ``ValueError``.
 
-    The largest absolute row sum ``r`` of ``H`` bounds its spectrum
-    (Gershgorin), and ``exp(i L H) = sum_k (2 - delta_k0) i^k J_k(rL)
-    T_k(H/r)``.  The vectors ``w_k = T_k(H/r) v`` follow the real
-    recurrence ``w_{k+1} = (2/r) H w_k - w_{k-1}`` and are shared by every
-    length; only the Bessel coefficients, which feed the real part (even
-    ``k``) or the imaginary part (odd ``k``), differ.  A length's series
-    has about ``rL + 12 (rL)^(1/3)`` terms, each one matrix-vector
-    product.  The vectors fill a reused buffer a chunk of
-    :func:`_fold_width` terms at a time, and each chunk is folded into each
-    length's real and imaginary parts by two BLAS vector-matrix products.
-    The chunks are fixed in ``k`` by the basis size, the last one is
-    zero-padded, and a length whose series has ended folds no more, so each
-    row is bit-identical to the same length run alone.
+    With ``r`` the generator's spectral bound, ``exp(i L H) = sum_k
+    (2 - delta_k0) i^k J_k(rL) T_k(H/r)``.  The vectors ``w_k = T_k(H/r)
+    v`` follow the real recurrence ``w_{k+1} = (2/r) H w_k - w_{k-1}`` and
+    are shared by every length; only the Bessel coefficients, which feed
+    the real part (even ``k``) or the imaginary part (odd ``k``), differ.
+    ``H`` maps each half to the other, so ``w_k`` lies on the even half
+    for even ``k`` and on the odd half for odd ``k``: each step is one
+    product with ``B`` or ``B^T``, the real part of a row lies on the even
+    half and its imaginary part on the odd half.  A length's series has
+    about ``rL + 12 (rL)^(1/3)`` terms.  The vectors fill two reused
+    half-size buffers a chunk of :func:`_fold_width` terms at a time, and
+    each chunk is folded into each length's real and imaginary parts by
+    two BLAS vector-matrix products.  The chunks are fixed in ``k`` by the
+    basis, the last one is zero-padded, and a length whose series has
+    ended folds no more, so each row is bit-identical to the same length
+    run alone.
     """
-    series = [_bessel_series(generator.radius * length)
+    even, odd = generator.even, generator.odd
+    if np.any(vector[odd]):
+        raise ValueError("expm_multiply needs a start vector that is zero "
+                         "on the odd half of the basis")
+    radius = generator.radius
+    series = [_bessel_series(radius * length)
               for length in np.asarray(lengths, dtype=float).tolist()]
-    width = _fold_width(len(vector))
+    width = _fold_width(max(len(even), len(odd)))
     terms = max(map(len, series))
     coef = np.zeros((len(series), -(-terms // width) * width))
     for row, values in zip(coef, series):
         row[:len(values)] = values
     coef *= _PHASE[np.arange(coef.shape[1]) % 4]
-    out = np.zeros((len(series), len(vector)), dtype=complex)
-    rows = np.zeros((width, len(vector)))
-    rows[0] = vector
-    ring = list(rows)                           # w_k is ring[k % width]
+    # w_k is ring[k % width], a row of rows[k % 2] made by blocks[k % 2]
+    blocks = (generator.to_even, generator.to_odd)
+    rows = [np.zeros((width // 2, len(half))) for half in (even, odd)]
+    ring = [rows[k % 2][k // 2] for k in range(width)]
+    ring[0][:] = vector[even]
+    parts = [np.zeros((len(series), len(half))) for half in (even, odd)]
     for start in range(0, coef.shape[1], width):
         for k in range(max(1, start), min(terms, start + width)):
             row = ring[k % width]
             if k == 1:
-                scaled = generator.data * (2.0 / generator.radius)
-                _matvec(generator, generator.data, vector, out=row)
-                row /= generator.radius
+                scaled = [block.data * (2.0 / radius) for block in blocks]
+                _matvec(blocks[1], blocks[1].data, ring[0], out=row)
+                row /= radius
             else:
-                _matvec(generator, scaled, ring[(k - 1) % width], out=row)
+                _matvec(blocks[k % 2], scaled[k % 2], ring[(k - 1) % width],
+                        out=row)
                 row -= ring[(k - 2) % width]
-        for parity, part in enumerate((out.real, out.imag)):
+        for parity, part in enumerate(parts):
             weights = coef[:, start + parity:start + width:2]
             for i, values in enumerate(series):
                 if len(values) > start:
-                    part[i] += weights[i] @ rows[parity::2]
+                    part[i] += weights[i] @ rows[parity]
+    out = np.zeros((len(series), len(vector)), dtype=complex)
+    out.real[:, even] = parts[0]
+    out.imag[:, odd] = parts[1]
     return out
 
 

@@ -142,3 +142,33 @@ def loop_signal_cross(psi: np.ndarray, n_max: int) -> complex:
         target = (occ[0] + 1, occ[1], occ[2] - 1, occ[3])
         cross += np.conj(psi[index[target]]) * amp * psi[i]
     return cross
+
+
+def linear_search_bessel_series(x: float) -> np.ndarray:
+    """``(2 - delta_k0) J_k(x)`` by Miller's backward recurrence, started at
+    the order found by a linear search upwards from ``e x / 2``, one
+    ``lgamma`` per order: the series :func:`coupledpdc.fock._bessel_series`
+    computed before its start order was bisected.  Only for finite
+    ``x >= 0`` of moderate size; it has no cap on the order."""
+    if x < 1e-18:
+        return np.ones(1)
+    log_half = math.log(x / 2)
+    top = math.ceil(math.e * x / 2)
+    while top * log_half - math.lgamma(top + 1) > -69.0:
+        top += 1
+    j = [0.0] * (top + 2)
+    j[top] = this = 1.0
+    above = 0.0
+    for k in range(top, 0, -1):
+        this, above = 2 * k / x * this - above, this
+        j[k - 1] = this
+        if abs(this) > 1e250:
+            j[k - 1:] = [v * 1e-250 for v in j[k - 1:]]
+            this, above = j[k - 1], j[k]
+    norm = j[0] + 2.0 * math.fsum(j[2::2])
+    end = math.floor(x) + 1
+    while 2.0 * abs(j[end]) >= 1e-18 * abs(norm):
+        end += 1
+    series = np.array(j[:end]) / norm
+    series[1:] *= 2.0
+    return series

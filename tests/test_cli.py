@@ -2,6 +2,8 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -308,6 +310,33 @@ def test_oracle_check_refuses_a_negative_length_before_any_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "length must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle-check", "--preset", "fig2", "--nmax", "4", "--points", "1e300"),
+    ("oracle-check", "--preset", "fig2", "--nmax", "4",
+     "--points", "0.5,1e9"),
+    ("decompose", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
+     "--length", "1e9", "--nmax", "4"),
+])
+def test_a_length_beyond_the_series_cap_is_refused_before_any_line(argv,
+                                                                    capsys):
+    # uncapped, 1e300 spun in the order search and 1e9 asked for a
+    # Bessel table of tens of GB; refused, it takes about 70 kB
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code = run_cli(*argv)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a series above order 1000000" in captured.err
+    assert elapsed < 2.0
+    assert peak < 500_000
 
 
 def test_oracle_check_tolerance_breach(capsys):

@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.special
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coupledpdc.fock as fock
 from coupledpdc.config import Tolerances
@@ -29,7 +30,13 @@ from coupledpdc.fock import (
 from coupledpdc.moments import intensities, signal_coherence
 from coupledpdc.whichway import pair_state
 
-from oracles import loop_basis, loop_generator, loop_signal_cross, sector_mask
+from oracles import (
+    linear_search_bessel_series,
+    loop_basis,
+    loop_generator,
+    loop_signal_cross,
+    sector_mask,
+)
 from test_device import below_threshold_devices
 
 FIG2 = dict(gamma1=0.1, gamma2=0.3, kappa=3.0)
@@ -82,12 +89,28 @@ def test_index_of_refuses_kets_outside_the_basis(basis4):
         basis4.index_of([(1, 1, 0, 0), (1, 0, 0, 0)])
 
 
+def _block(matrix, rows, cols):
+    """One parity block of a generator as a SciPy sparse array, without a
+    copy."""
+    return scipy.sparse.csr_array(
+        (matrix.data, matrix.indices, matrix.indptr), shape=(rows, cols))
+
+
+def assembled(g):
+    """The full generator of :func:`build_generator`'s record ``g``, in
+    basis order, from its two parity blocks."""
+    even, odd = len(g.even), len(g.odd)
+    halves = scipy.sparse.block_array(
+        [[None, _block(g.to_even, even, odd)],
+         [_block(g.to_odd, odd, even), None]], format="csr")
+    order = np.argsort(np.concatenate([g.even, g.odd]))
+    return halves[order][:, order]
+
+
 def sparse_generator(dev, basis):
-    """:func:`build_generator`'s CSR arrays wrapped as a SciPy sparse
+    """:func:`build_generator`'s blocks assembled into one SciPy sparse
     array, for the matrix operations the tests read it with."""
-    g = build_generator(dev, basis)
-    return scipy.sparse.csr_array((g.data, g.indices, g.indptr),
-                                  shape=(basis.size, basis.size))
+    return assembled(build_generator(dev, basis))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
@@ -125,30 +148,106 @@ def test_generator_is_hermitian(basis4):
     assert abs(g - g.conj().T).max() < 1e-12
 
 
+def gershgorin(dense):
+    """Largest absolute row sum of a dense matrix."""
+    return np.abs(dense).sum(axis=1).max(initial=0.0)
+
+
+def assert_radius_bounds(g, dense):
+    """``max|eig(H)| <= radius <= Gershgorin (1 + margin)``."""
+    spectral = np.max(np.abs(np.linalg.eigvalsh(dense)), initial=0.0)
+    assert spectral <= g.radius
+    assert g.radius <= gershgorin(dense) * (1.0 + fock.RADIUS_MARGIN)
+
+
 @pytest.mark.parametrize("n_max", [4, 8, 12])
 def test_generator_product_and_radius_match_scipy_sparse(n_max):
     basis = FockBasis.build(n_max)
     g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
-    h = scipy.sparse.csr_array((g.data, g.indices, g.indptr),
-                               shape=(basis.size, basis.size))
-    # wrapped without a copy
-    for mine, scipys in zip((g.indptr, g.indices, g.data),
-                            (h.indptr, h.indices, h.data)):
-        assert np.shares_memory(mine, scipys)
-    x = np.random.default_rng(0).standard_normal(basis.size)
-    y = fock._matvec(g, g.data, x, np.empty(basis.size))
-    # SciPy's product of the same arrays, bit for bit
-    assert np.array_equal(y, h @ x)
-    # its canonical layout sums each row in column order instead
-    canonical = h.copy()
-    canonical.sort_indices()
-    assert np.max(np.abs(y - canonical @ x)) <= 1e-15 * np.max(np.abs(y))
-    # no duplicate column within a row and no stored zero
-    rows = np.repeat(np.arange(basis.size), np.diff(g.indptr))
-    assert len(np.unique(rows * basis.size + g.indices)) == len(g.indices)
-    assert np.all(g.data != 0.0)
-    sums = np.abs(h.toarray()).sum(axis=1).max()
-    assert abs(g.radius - sums) <= 4 * np.spacing(sums)
+    even, odd = len(g.even), len(g.odd)
+    rng = np.random.default_rng(0)
+    for block, rows, cols in ((g.to_odd, odd, even), (g.to_even, even, odd)):
+        h = _block(block, rows, cols)
+        # wrapped without a copy
+        for mine, scipys in zip((block.indptr, block.indices, block.data),
+                                (h.indptr, h.indices, h.data)):
+            assert np.shares_memory(mine, scipys)
+        x = rng.standard_normal(cols)
+        y = fock._matvec(block, block.data, x, np.empty(rows))
+        # SciPy's product of the same arrays, bit for bit
+        assert np.array_equal(y, h @ x)
+        # its canonical layout sums each row in column order instead
+        canonical = h.copy()
+        canonical.sort_indices()
+        assert np.max(np.abs(y - canonical @ x)) <= 1e-15 * np.max(np.abs(y))
+        # no duplicate column within a row and no stored zero
+        r = np.repeat(np.arange(rows), np.diff(block.indptr))
+        assert len(np.unique(r * cols + block.indices)) == len(block.indices)
+        assert np.all(block.data != 0.0)
+    # the two blocks are each other's transpose, entry for entry
+    assert np.array_equal(_block(g.to_even, even, odd).toarray(),
+                          _block(g.to_odd, odd, even).toarray().T)
+    assert_radius_bounds(g, assembled(g).toarray())
+
+
+def test_spectral_bound_is_within_five_percent_at_nmax8():
+    # max|eig| is 37.153 here and Gershgorin's bound 50.90
+    g = build_generator(ContinuousDevice(**FIG2, length=1.0),
+                        FockBasis.build(8))
+    assert g.radius <= 1.05 * 37.153
+
+
+def assert_chiral(g, basis):
+    """The halves are the even and odd states, and every entry of each
+    block joins a state of one half to one of the other."""
+    p = (basis.occupations[:, 0] + basis.occupations[:, 3]) % 2
+    assert np.array_equal(g.even, np.flatnonzero(p == 0))
+    assert np.array_equal(g.odd, np.flatnonzero(p == 1))
+    assert g.even[0] == 0
+    for block, rows, cols, want in ((g.to_odd, g.odd, g.even, 1),
+                                    (g.to_even, g.even, g.odd, 0)):
+        r = np.repeat(rows, np.diff(block.indptr))
+        assert np.all(p[r] == want)
+        assert np.all(p[cols[block.indices]] == 1 - want)
+
+
+@pytest.mark.parametrize("n_max", range(1, 13))
+def test_every_generator_entry_joins_even_to_odd(n_max):
+    basis = FockBasis.build(n_max)
+    g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
+    assert_chiral(g, basis)
+
+
+# zero and negative couplings among any others
+_coupling = st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                      st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_coupling, _coupling, _coupling, st.floats(0.0, 3.0))
+@example(0.0, 0.0, 0.0, 1.0)
+@example(0.0, 0.0, -2.0, 1.0)
+@example(-0.1, 0.0, 0.0, 2.0)
+# |B|^T |B| of these couplings overflows unless |B| is scaled first
+@example(1e200, -1e199, 3e200, 0.0)
+def test_chiral_split_and_spectral_bound_hold_for_any_couplings(
+        gamma1, gamma2, kappa, length):
+    basis = FockBasis.build(3)
+    dev = ContinuousDevice(gamma1, gamma2, kappa, length)
+    g = build_generator(dev, basis)
+    assert_chiral(g, basis)
+    sector = sector_mask(3)
+    full = loop_generator(gamma1, gamma2, kappa, n_max=3)
+    assert np.array_equal(assembled(g).toarray(), full[np.ix_(sector, sector)])
+    assert_radius_bounds(g, full.real)
+    if gamma1 == gamma2 == kappa == 0.0:
+        assert g.radius == 0.0
+        assert len(fock._bessel_series(g.radius * length)) == 1
+    # the real part of an evolved state lies on the even half, the
+    # imaginary part on the odd half, exactly
+    psi = evolve(dev, basis, tol=_ANY_LEAKAGE).amplitudes
+    assert not np.any(psi.real[g.odd])
+    assert not np.any(psi.imag[g.even])
 
 
 def test_evolve_zero_length_is_vacuum(basis4):
@@ -264,9 +363,12 @@ def test_sparsetools_coexist_with_scipy_sparse_imported_later():
             is sparsetools
         g = fock.build_generator(ContinuousDevice(0.1, 0.3, 3.0, 1.0),
                                  fock.FockBasis.build(4))
-        x = np.linspace(-1.0, 1.0, len(g.indptr) - 1)
-        csr = scipy.sparse.csr_matrix((g.data, g.indices, g.indptr))
-        assert np.array_equal(csr @ x, fock._matvec(g, g.data, x, 0 * x))
+        b = g.to_odd
+        x = np.linspace(-1.0, 1.0, len(g.even))
+        csr = scipy.sparse.csr_matrix((b.data, b.indices, b.indptr),
+                                      shape=(len(g.odd), len(g.even)))
+        assert np.array_equal(csr @ x, fock._matvec(b, b.data, x,
+                                                    np.empty(len(g.odd))))
         print("ok")
     """)
     proc = subprocess.run([sys.executable, "-c", code],
@@ -302,6 +404,31 @@ def test_chebyshev_coefficients_match_bessel_functions():
             fock._bessel_series(x)
 
 
+def test_bisected_start_order_gives_the_linear_search_series():
+    # the start order is bisected; the series it starts must be the one
+    # the former linear search started, bit for bit
+    for x in np.geomspace(1e-18, 1e4, 2001).tolist():
+        assert np.array_equal(fock._bessel_series(x),
+                              linear_search_bessel_series(x)), x
+
+
+def test_series_above_the_order_cap_is_refused_at_once():
+    # the largest argument under the cap runs (about 2.4 s, so only its
+    # check is run here); anything above it is refused before any table
+    # is allocated or any order searched
+    below = 2 * fock.MAX_ORDER / math.e
+    fock._check_argument(below * (1 - 1e-12))
+    for x in (below * (1 + 1e-12), 1e9, 1e300, sys.float_info.max):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"above order 1000000"):
+                fock._bessel_series(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000
+
+
 def test_chebyshev_coefficients_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
@@ -329,11 +456,12 @@ def test_evolve_nmax8_matches_dense_expm():
 
 
 def test_evolve_stack_rows_equal_single_lengths():
-    # at nmax 8 the fig2 series have 1 (L = 0 and 1e-20), 3, 47, 97, 159
-    # and 258 terms, so they end in the folds 0, 0, 1, 3, 4 and 8 of 32
-    # terms; the zero generator (radius 0) gives one-term series only
+    # at nmax 8 (halves of 249 and 240 states) the fig2 series have 1
+    # (L = 0 and 1e-20), 3, 41, 81, 130 and 207 terms, so they end in the
+    # folds 0, 0, 1, 2, 4 and 6 of 32 terms; the zero generator (radius 0)
+    # gives one-term series only
     basis = FockBasis.build(8)
-    assert fock._fold_width(basis.size) == 32
+    assert fock._fold_width(249) == 32
     lengths = np.array([0.0, 2.0, 0.3, 1e-20, 3.7, 1e-9, 1.0])
     for couplings in (FIG2, dict(gamma1=0.0, gamma2=0.0, kappa=0.0)):
         generator = build_generator(
@@ -360,11 +488,12 @@ def test_evolve_stack_rows_equal_single_lengths():
 
 
 def test_evolve_stack_memory_stays_within_the_fold_buffer():
-    # 45,961 states: 10 terms per fold.  The per-term accumulation this
-    # fold replaced peaked at 7,677,844 traced bytes here (numpy 2.4),
-    # the four lengths' amplitudes (2,941,504) included
+    # 45,961 states in halves of 22,981 and 22,980: 22 terms per fold.
+    # The per-term accumulation this fold replaced peaked at 7,677,844
+    # traced bytes here (numpy 2.4), the four lengths' amplitudes
+    # (2,941,504) included
     basis = FockBasis.build(40)
-    assert fock._fold_width(basis.size) == 10
+    assert fock._fold_width(22_981) == 22
     generator = build_generator(ContinuousDevice(**FIG2, length=0.0), basis)
     lengths = np.array([0.5, 1.0, 1.5, 2.0])
     tracemalloc.start()
@@ -475,3 +604,22 @@ def test_short_length_state_matches_extracted_pair(basis4):
     overlap = abs(np.vdot(reference, component)) / (
         np.linalg.norm(reference) * np.linalg.norm(component))
     assert overlap >= 0.999
+
+
+def test_oracle_check_runs_half_size_products_only(monkeypatch):
+    # fig2 at nmax 8, halves of 249 and 240 states: the four default
+    # lengths take 129 products for the longest series and the spectral
+    # bound 4 (158 full-size products with Gershgorin's bound)
+    from coupledpdc import cli
+    rows = []
+    kernel = fock._csr_matvec
+
+    def counting(n_row, *args):
+        rows.append(n_row)
+        return kernel(n_row, *args)
+
+    monkeypatch.setattr(fock, "_csr_matvec", counting)
+    assert cli.main(["oracle-check", "--preset", "fig2",
+                     "--nmax", "8"]) == cli.EXIT_OK
+    assert max(rows) <= 249
+    assert len(rows) <= 140
