@@ -88,7 +88,7 @@ from .fock import (
     evolve,
     evolve_stack,
     fock_observables,
-    observables_stack,
+    moments_stack,
 )
 
 EXIT_OK = 0
@@ -541,8 +541,8 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
     :func:`~coupledpdc.fock.evolve_stack` (a
     :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff),
     then a coherence beyond the unit bound.  Each side runs once on the
-    whole block: one transfer-matrix stack with its vacuum moments and
-    coherence, and one number-basis recurrence."""
+    whole block, a transfer-matrix stack or a number-basis recurrence, and
+    reads its coherence by :func:`~coupledpdc.moments.coherence_of`."""
     grid = np.array(lengths, dtype=float)
     m = transfer_stack(dev, grid)
     ms = mom.vacuum_moments(m)
@@ -550,24 +550,24 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
     coh, coh_failed = mom.coherence_of(ms, failed)
     states, fock_failed = evolve_stack(generator, basis, grid)
     failed = first_of(failed, fock_failed)
-    observables, undefined = observables_stack(states)
+    fock_ms = moments_stack(states)
+    fock_coh, fock_coh_failed = mom.coherence_of(fock_ms, fock_ms.failed)
+    dintensity = np.max([np.abs(fock_ms.b[mode] - ms.b[mode])
+                         for mode in ms.b], axis=0)
     # an undefined coherence on either side skips dgamma, the number
     # basis's first; one beyond the unit bound fails the length
-    gamma_failed = first_of(undefined, coh_failed)
+    gamma_failed = first_of(fock_coh_failed, coh_failed)
     out: List[Union[OracleDeviation, Exception]] = []
-    for i, obs in enumerate(observables):
+    for i, state in enumerate(states):
         if failed[i] is not None:
             out.append(failed[i])
-            continue
-        b = {mode: float(value[i]) for mode, value in ms.b.items()}
-        dint = max(abs(obs.n_s1 - b["s1"]), abs(obs.n_s2 - b["s2"]),
-                   abs(obs.n_i1 - b["i1"]), abs(obs.n_i2 - b["i2"]))
-        if isinstance(gamma_failed[i], CoherenceBoundError):
+        elif isinstance(gamma_failed[i], CoherenceBoundError):
             out.append(gamma_failed[i])
-            continue
-        dgamma = (None if gamma_failed[i] is not None else
-                  abs(obs.coherence.gamma - float(coh.gamma[i])))
-        out.append(OracleDeviation(dint, dgamma, states[i].leakage))
+        else:
+            dgamma = (None if gamma_failed[i] is not None else
+                      abs(float(fock_coh.gamma[i]) - float(coh.gamma[i])))
+            out.append(OracleDeviation(float(dintensity[i]), dgamma,
+                                       state.leakage))
     return out
 
 
@@ -736,7 +736,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "decompose": _cmd_decompose,
     }
     try:
-        return handlers[args.command](args)
+        # stderr carries the program's own lines only, no numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handlers[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,7 +42,6 @@ from .errors import (
     no_failures,
     raise_first,
 )
-from .linalg import as_complex_matrix
 
 __all__ = [
     "ETA",
@@ -140,7 +139,11 @@ def _symplectic_residuals(m: np.ndarray) -> np.ndarray:
 
 def symplectic_residual(m: np.ndarray) -> float:
     """Largest element-wise violation of ``M eta M^H = eta``."""
-    m = as_complex_matrix(m, square=True)
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteMatrixError("matrix has non-finite entries")
     return float(_symplectic_residuals(m[None])[0])
 
 
@@ -182,7 +185,7 @@ class TransferMatrix:
     tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix, square=True)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {m.shape}")
         raise_first(stack_failures(m[None], self.tol))

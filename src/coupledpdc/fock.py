@@ -20,13 +20,14 @@ depend on the length, so the exponential is applied by a Chebyshev
 expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one real
 three-term recurrence of half-size sparse matrix-vector products serves
 every length of a batch, and only the Bessel-function coefficients differ
-between lengths (:func:`expm_multiply`, :func:`evolve_stack`,
-:func:`observables_stack`).  The series is sized by a Collatz-Wielandt
-upper bound on the spectral radius, taken once when the generator is
-built.  Each product runs SciPy's compiled ``csr_matvec``, the kernel
-behind a ``scipy.sparse`` product, which takes a row's columns in any
-order.  It is loaded from its compiled file, without importing
-``scipy.sparse``: that package first imports ``scipy._lib._util``, which
+between lengths (:func:`expm_multiply`, :func:`evolve_stack`); the states
+reduce to the transfer-matrix route's :class:`~coupledpdc.moments.MomentSet`
+(:func:`moments_stack`).  The series is sized by a Collatz-Wielandt upper
+bound on the spectral radius, taken once when the generator is built.
+Each product runs SciPy's compiled ``csr_matvec``, the kernel behind a
+``scipy.sparse`` product, which takes a row's columns in any order.  It is
+loaded from its compiled file, without importing ``scipy`` or
+``scipy.sparse``: the latter first imports ``scipy._lib._util``, which
 touches every lazy attribute of numpy and more than doubles start-up.
 
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
@@ -41,22 +42,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from types import ModuleType
+from types import MappingProxyType
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from .config import TOL, Tolerances
 from .device import ContinuousDevice
-from .errors import (
-    TruncationLeakageError,
-    UndefinedCoherenceError,
-    flag,
-    no_failures,
-    raise_first,
-)
-from .moments import CoherenceResult
+from .errors import TruncationLeakageError, flag, no_failures, raise_first
+from .moments import CoherenceResult, MomentSet, coherence_of
 
 __all__ = [
     "FockBasis",
@@ -68,7 +62,7 @@ __all__ = [
     "expm_multiply",
     "evolve_stack",
     "evolve",
-    "observables_stack",
+    "moments_stack",
     "mode_occupations",
     "fock_observables",
     "pair_component",
@@ -149,7 +143,7 @@ class FockState:
     neither the truncation error accumulated along the length nor the
     coherence's: at fig2, L = 1000, ``n_max = 4`` leaks 5.7e-7 with the
     coherence off by 1.4e-3 (2.5e-9 at ``n_max = 8``).  Two cutoffs
-    measure it (ROADMAP item 6).
+    measure it (ROADMAP item 8).
     """
 
     basis: FockBasis
@@ -157,30 +151,31 @@ class FockState:
     leakage: float
 
 
-def _scipy_extension(name: str) -> ModuleType:
-    """The compiled SciPy module ``name`` (``scipy.<subpackage>.<module>``),
-    loaded from its file without running its package's ``__init__``.
-
-    It is registered in ``sys.modules`` under its own name, so a later
-    ``import scipy.sparse`` reuses it instead of initializing it a second
-    time.  Raises ``ImportError`` naming the module and SciPy's version
-    when no such file exists.
-    """
+def _load_csr_matvec():
+    """``csr_matvec`` of ``scipy.sparse._sparsetools``, loaded from its
+    compiled file without running ``scipy``'s or ``scipy.sparse``'s
+    ``__init__``, unless already imported.  CPython registers the module
+    in ``sys.modules`` as it loads it; it is taken out again, so that a
+    later ``import scipy.sparse`` loads its own and sets it as an
+    attribute.  ``ImportError`` names SciPy's version if the file is
+    missing."""
+    name = "scipy.sparse._sparsetools"
     if name in sys.modules:
-        return sys.modules[name]
-    package = name.rpartition(".")[0].split(".")
+        return sys.modules[name].csr_matvec
+    roots = importlib.util.find_spec("scipy").submodule_search_locations
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__), *package[1:])])
+        name, [os.path.join(root, "sparse") for root in roots])
     if spec is None:
-        raise ImportError(f"{name} not found in SciPy {scipy.__version__}",
+        from importlib.metadata import version
+        raise ImportError(f"{name} not found in SciPy {version('scipy')}",
                           name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    sys.modules.pop(name, None)
+    return module.csr_matvec
 
 
-_csr_matvec = _scipy_extension("scipy.sparse._sparsetools").csr_matvec
+_csr_matvec = _load_csr_matvec()
 
 
 @dataclass(frozen=True)
@@ -251,14 +246,13 @@ def _spectral_bound(to_odd: CsrMatrix, to_even: CsrMatrix) -> float:
     ``rho(H) <= rho(|H|)`` for any real entries, and ``rho(|H|)^2 =
     rho(|B|^T |B|) <= max_i (|B|^T |B| x)_i / x_i`` for every positive
     ``x`` (Collatz-Wielandt).  ``x`` is the all-ones vector after
-    :data:`POWER_STEPS` shifted power steps.  ``|B|`` is scaled by a power
-    of two, exactly, so that its square cannot overflow.  Zero couplings
-    give 0.
+    :data:`POWER_STEPS` shifted power steps.  ``|B|`` is scaled by
+    ``2^-e`` with ``ldexp``, exactly, so that its square cannot overflow
+    (``2^e`` itself overflows at ``e = 1024``).  Zero couplings give 0.
     """
-    down = np.abs(to_odd.data)
-    unit = 2.0 ** math.frexp(down.max(initial=0.0))[1]
-    down /= unit
-    up = np.abs(to_even.data) / unit
+    e = math.frexp(np.abs(to_odd.data).max(initial=0.0))[1]
+    down = np.ldexp(np.abs(to_odd.data), -e)
+    up = np.ldexp(np.abs(to_even.data), -e)
     mid = np.empty(len(to_odd.indptr) - 1)
 
     def square(x: np.ndarray) -> np.ndarray:
@@ -269,7 +263,7 @@ def _spectral_bound(to_odd: CsrMatrix, to_even: CsrMatrix) -> float:
     for _ in range(POWER_STEPS):
         x = square(x) + POWER_SHIFT * x
     ratio = float(np.max(square(x) / x))
-    return unit * math.sqrt(ratio) * (1.0 + RADIUS_MARGIN)
+    return float(np.ldexp(math.sqrt(ratio) * (1.0 + RADIUS_MARGIN), e))
 
 
 def build_generator(dev: ContinuousDevice, basis: FockBasis
@@ -372,10 +366,17 @@ def check_lengths(generator: ChiralGenerator, lengths: Sequence[float]
                   ) -> None:
     """Raise ``ValueError`` for the first of ``lengths`` that
     :func:`expm_multiply` would refuse with ``generator``, before any
-    work: one whose Chebyshev series would start above
-    :data:`MAX_ORDER`."""
+    work: one whose Chebyshev series would start above :data:`MAX_ORDER`
+    (named with the longest length accepted), then one that is not
+    finite and ``>= 0``."""
+    radius = generator.radius
     for length in lengths:
-        _check_argument(generator.radius * length)
+        if math.e * (radius * length) / 2 > MAX_ORDER:
+            raise ValueError(
+                f"length {length:.6g} needs a series above order "
+                f"{MAX_ORDER}; at spectral bound {radius:.6g} the longest "
+                f"length accepted is {2 * MAX_ORDER / math.e / radius:.6g}")
+        _check_argument(radius * length)
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -492,7 +493,7 @@ def expm_multiply(generator: ChiralGenerator, vector: np.ndarray,
     return out
 
 
-def evolve_stack(generator: CsrMatrix, basis: FockBasis,
+def evolve_stack(generator: ChiralGenerator, basis: FockBasis,
                  lengths: np.ndarray, tol: Tolerances = TOL,
                  ) -> Tuple[List[FockState], np.ndarray]:
     """The vacuum evolved by ``generator`` (:func:`build_generator` on
@@ -551,17 +552,15 @@ class FockObservables:
     coherence: CoherenceResult
 
 
-def observables_stack(states: Sequence[FockState], tol: Tolerances = TOL,
-                      ) -> Tuple[List[FockObservables], np.ndarray]:
-    """Exact mode occupations and mutual signal coherence of each of
-    ``states``, all on one basis, from one set of index arrays.
+# mode order inside a ket
+_MODES = ("s1", "i1", "s2", "i2")
 
-    Returns the observables and each state's failure, an
-    :class:`~coupledpdc.errors.UndefinedCoherenceError` (and a meaningless
-    coherence) where a signal occupation is at most
-    ``tol.coherence_epsilon``.  Each state is reduced alone, as
-    :func:`fock_observables` reduces it.
-    """
+
+def moments_stack(states: Sequence[FockState]) -> MomentSet:
+    """Exact moments of each of ``states``, all on one basis, from one set
+    of index arrays: the four occupations in ``b`` (``(N,)`` arrays) and
+    ``<A_s1^+ A_s2>`` in ``d["s1s2"]``, with no failure recorded.  Each
+    state is reduced alone, so a row does not depend on the batch."""
     basis = states[0].basis
     occ = basis.occupations
     columns = occ.T.astype(float)
@@ -576,31 +575,28 @@ def observables_stack(states: Sequence[FockState], tol: Tolerances = TOL,
         psi = state.amplitudes
         n[i] = np.sum(np.abs(psi) ** 2 * columns, axis=1)
         cross[i] = np.sum(np.conj(psi[target]) * amp * psi[source])
-    failed = no_failures(len(states))
-    low = np.minimum(n[:, 0], n[:, 2])
-    undefined = low <= tol.coherence_epsilon
-    flag(failed, undefined, lambda i: UndefinedCoherenceError(
-        f"signal occupations ({n[i, 0]:.3e}, {n[i, 2]:.3e}) are too small "
-        "to normalize the cross-correlation"))
-    value = -1j * cross / np.sqrt(np.where(undefined, 1.0, n[:, 0] * n[:, 2]))
-    return [FockObservables(*row.tolist(), CoherenceResult(
-        float(v.real), float(abs(v.imag)), bool(lo < tol.coherence_fragile)))
-        for row, v, lo in zip(n, value, low)], failed
+    return MomentSet(d=MappingProxyType({"s1s2": cross}),
+                     b=MappingProxyType(dict(zip(_MODES, n.T))),
+                     failed=no_failures(len(states)))
 
 
 def mode_occupations(state: FockState) -> Tuple[float, float, float, float]:
     """Mean photon numbers ``(n_s1, n_i1, n_s2, n_i2)`` of ``state``."""
-    (obs,), _ = observables_stack([state])
-    return obs.n_s1, obs.n_i1, obs.n_s2, obs.n_i2
+    b = moments_stack([state]).b
+    return tuple(float(b[mode][0]) for mode in _MODES)
 
 
 def fock_observables(state: FockState, tol: Tolerances = TOL) -> FockObservables:
     """Exact mode occupations and mutual signal coherence of ``state``
-    (:func:`observables_stack` on a batch of one); raises the failure it
-    records."""
-    (obs,), failed = observables_stack([state], tol)
+    (:func:`moments_stack` and :func:`~coupledpdc.moments.coherence_of`
+    on a batch of one); raises the failure the coherence records."""
+    ms = moments_stack([state])
+    coh, failed = coherence_of(ms, ms.failed, tol)
     raise_first(failed)
-    return obs
+    return FockObservables(
+        *(float(ms.b[mode][0]) for mode in _MODES), CoherenceResult(
+            float(coh.gamma[0]), float(coh.imag_residue[0]),
+            bool(coh.fragile[0])))
 
 
 def pair_component(state: FockState) -> np.ndarray:

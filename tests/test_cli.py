@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -9,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coupledpdc import fock
 from coupledpdc.cli import (
     EXIT_LEAKAGE,
     EXIT_OK,
@@ -427,15 +430,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse():
     # either would import scipy._lib._util, which touches every lazy
     # attribute of numpy: about 0.35 s of every start-up; a length of 0
-    # and a device without couplings once took scipy.linalg's expm
+    # and a device without couplings once took scipy.linalg's expm.
+    # scipy itself costs about 10 ms: the compiled csr_matvec is found
+    # through the import system's spec of scipy instead
     code = ("import contextlib, io, sys\n"
             "import coupledpdc.cli as cli\n"
-            "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy._lib._util',\n"
-            "         'scipy.optimize', 'scipy.linalg._matfuncs_expm'}\n"
+            "heavy = {'scipy', 'scipy.linalg', 'scipy.sparse',\n"
+            "         'scipy._lib._util', 'scipy.optimize',\n"
+            "         'scipy.linalg._matfuncs_expm'}\n"
             "print(sorted(heavy & set(sys.modules)))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(['sweep-length', '--preset', 'fig2',\n"
             "                       '--steps', '50']),\n"
+            "             cli.main(['sweep-psi', '--preset', 'fig7']),\n"
             "             cli.main(['oracle-check', '--preset', 'fig2',\n"
             "                       '--nmax', '4']),\n"
             "             cli.main(['sweep-length', '--gamma1', '0.1',\n"
@@ -448,7 +455,7 @@ def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse():
             "print(codes, sorted(heavy & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
 
 
 def test_decompose_needs_exactly_one_device(capsys):
@@ -509,3 +516,249 @@ def test_decompose_nmax_leakage_exit_code(capsys):
                    "--kappa", "2.5", "--length", "3.0",
                    "--nmax", "2") == EXIT_LEAKAGE
     assert "boundary population" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["1e308", "1.7e308"])
+def test_oracle_check_at_the_top_of_the_float_range(kappa, capsys):
+    # the spectral bound's power-of-two scale is 2^1024 here, which
+    # overflows as a float; the masked amplitudes of the generator
+    # overflow too, silently
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("oracle-check", "--gamma1", "0.1", "--gamma2", "0.3",
+                       "--kappa", kappa, "--points", "0",
+                       "--nmax", "1") == EXIT_OK
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0] == (
+        "L=0.0 dintensity=0.000e+00 gamma=undefined (skipped) "
+        "leakage=0.000e+00")
+    assert captured.out.endswith("PASS (tolerance 0.001)\n")
+
+
+def test_decompose_of_an_overflowing_generator_prints_its_reason_only(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("decompose", "--gamma1", "0.5", "--gamma2", "-0",
+                       "--kappa", "2e154", "--length", "1e308") == EXIT_USAGE
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid device: expm takes finite generators i H L of a continuous "
+        "device (see build_hamiltonian)\n")
+
+
+@pytest.mark.parametrize("length", ["1e308", "50000"])
+def test_a_refused_length_is_named_with_the_longest_accepted(length, capsys):
+    # 1e308 times the spectral bound overflows, 50000 times it does not;
+    # either refusal names the length, and the longest length it names is
+    # accepted
+    assert run_cli("oracle-check", "--preset", "fig2", "--nmax", "4",
+                   "--points", f"0.5,{length}") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    head = f"error: length {float(length):.6g} needs a series above order "
+    assert line.startswith(head + f"{fock.MAX_ORDER}; at spectral bound ")
+    longest = float(line.rsplit(" ", 1)[1])
+    generator = fock.build_generator(ContinuousDevice(0.1, 0.3, 3.0, 0.0),
+                                     fock.FockBasis.build(4))
+    fock.check_lengths(generator, [longest])
+    with pytest.raises(ValueError, match="needs a series above order"):
+        fock.check_lengths(generator, [longest * (1 + 1e-5)])
+
+
+# --- the CLI contract, fuzzed ---------------------------------------------
+# Every argv ends in exit 0-3 without an exception escaping main; a sweep
+# that exits 0 writes its header and one row per step, each with a
+# status; a usage error (exit 1) writes nothing to stdout and one line to
+# stderr.  Values: signed zeros, subnormals, the ends of the float range,
+# non-finite values, a few ordinary ones, and the edges of the caps.  Each
+# example stays cheap: at most 7 steps and --nmax 3, and every accepted
+# oracle length is short (a refused one costs nothing).
+
+FINITE = ("0", "-0", "5e-324", "-5e-324", "1e-300", "0.1", "0.3", "3",
+          "-1", "1e300", "-1e300", "1e308")
+FLOATS = FINITE + ("inf", "-inf", "nan")
+STEPS = ("2", "3", "7")
+BAD_STEPS = ("-1", "0", "1", str(MAX_STEPS + 1), "100000000000")
+# 114 is the first cutoff above fock.MAX_STATES
+NMAX = ("-1", "0", "1", "2", "3", "114")
+TOLERANCES = ("0", "-0", "5e-324", "1e-3", "-1e-3", "1e300", "inf", "nan")
+
+
+def _first_refused_length(nmax):
+    """The shortest length whose Chebyshev series would start above
+    fock.MAX_ORDER at fig2's spectral bound for ``nmax``."""
+    generator = fock.build_generator(ContinuousDevice(0.1, 0.3, 3.0, 0.0),
+                                     fock.FockBasis.build(nmax))
+    length = 2 * fock.MAX_ORDER / math.e / generator.radius * (1 - 1e-14)
+    fock.check_lengths(generator, [length])
+    while True:
+        length = float(np.nextafter(length, math.inf))
+        try:
+            fock.check_lengths(generator, [length])
+        except ValueError:
+            return length
+
+
+# an accepted length at the edge takes seconds, so only the refused side
+# of each cap is run
+FIRST_REFUSED = {nmax: _first_refused_length(nmax) for nmax in (1, 2, 3)}
+
+
+def _option(name, values):
+    """``--name=value`` for a value of ``values``, or the option left out
+    (``=`` keeps argparse from reading ``-1e300`` as an option)."""
+    return st.one_of(st.sampled_from(values).map(
+        lambda value: (f"--{name}={value}",)), st.just(()))
+
+
+def _range(values):
+    """``--from`` and ``--to`` from ``values``, the lower one first, or
+    neither."""
+    return st.one_of(st.lists(st.sampled_from(values), min_size=2,
+                              max_size=2).map(
+        lambda ends: tuple(f"--{name}={end}" for name, end in
+                           zip(("from", "to"), sorted(ends, key=float)))),
+        st.just(()))
+
+
+def _argv(command, *options):
+    return st.tuples(*options).map(
+        lambda parts: [command, *(arg for part in parts for arg in part)])
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, with every warning
+    an error: the contract leaves stderr to the program's own lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_TOLERANCE, EXIT_LEAKAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_sweep(argv, columns):
+    code, out, err = _run(argv)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_OK:
+        assert err == ""
+        header, *rows = out.splitlines()
+        names = header.split(",")
+        assert set(names) <= set(columns)
+        steps = [arg for arg in argv if arg.startswith("--steps=")]
+        assert 2 <= len(rows) == int(steps[-1].split("=")[1]) <= MAX_STEPS
+        for row in rows:
+            cells = dict(zip(names, row.split(",")))
+            assert len(cells) == len(names)
+            assert cells.get("status", "ok") != ""
+
+
+SWEEP_COLUMNS = ("status", "gamma,status", "n_s1", ",", "L,psi")
+
+
+def _sweeps(command, preset, device):
+    """Argv of ``command``: ``preset`` with finite overrides and a valid
+    step count, which mostly runs, or any values, mostly refused."""
+    def argv(presets, values, steps):
+        return _argv(command, presets,
+                     *(_option(name, values) for name in device),
+                     _range(values),
+                     st.sampled_from(steps).map(lambda v: (f"--steps={v}",)),
+                     _option("columns", SWEEP_COLUMNS))
+
+    return st.one_of(argv(st.just((f"--preset={preset}",)), FINITE, STEPS),
+                     argv(_option("preset", ("fig2", "fig7")), FLOATS,
+                          STEPS + BAD_STEPS))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_sweeps("sweep-length", "fig2", ("gamma1", "gamma2", "kappa")))
+@example(["sweep-length", "--preset=fig2", f"--steps={MAX_STEPS + 1}"])
+@example(["sweep-length", "--preset=fig2", "--steps=7", "--columns=,"])
+@example(["sweep-length", "--gamma1=1", "--gamma2=1", "--kappa=0.5",
+          "--from=0", "--to=1e300", "--steps=7"])
+def test_sweep_length_keeps_the_cli_contract(argv):
+    _check_sweep(argv, LENGTH_COLUMNS)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_sweeps("sweep-psi", "fig7", ("r1", "r2")))
+@example(["sweep-psi", "--r1=800", "--r2=0.1", "--steps=3"])
+def test_sweep_psi_keeps_the_cli_contract(argv):
+    _check_sweep(argv, PSI_COLUMNS)
+
+
+ORACLE_EDGES = [["oracle-check", "--preset=fig2", f"--nmax={nmax}",
+                 f"--points=0.5,{length!r}"]
+                for nmax, length in FIRST_REFUSED.items()]
+
+
+SHORT = ("0", "-0", "5e-324", "1e-300", "0.1", "0.3", "3")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(
+    # fig2 with finite overrides and short lengths, which mostly runs
+    _argv("oracle-check", st.just(("--preset=fig2",)),
+          *(_option(name, FINITE) for name in ("gamma1", "gamma2", "kappa")),
+          st.lists(st.sampled_from(SHORT), min_size=1, max_size=3).map(
+              lambda lengths: (f"--points={','.join(lengths)}",)),
+          _option("nmax", ("1", "2", "3")), _option("tolerance", TOLERANCES)),
+    # any values, mostly refused
+    _argv("oracle-check", _option("preset", ("fig2", "fig7")),
+          *(_option(name, FLOATS) for name in ("gamma1", "gamma2", "kappa")),
+          _option("points", [",".join(lengths) for lengths in [
+              *((v,) for v in FLOATS),
+              ("0.5", "1e308"), ("0", "nan"), ("0.3", "-1"), ("", ","),
+              ("x",)]]),
+          _option("nmax", NMAX), _option("tolerance", TOLERANCES)),
+    st.sampled_from(ORACLE_EDGES)))
+@example(["oracle-check", "--gamma1=0.1", "--gamma2=0.3", "--kappa=1e308",
+          "--points=0", "--nmax=1"])
+@example(["oracle-check", "--gamma1=0.1", "--gamma2=0.3", "--kappa=1.7e308",
+          "--points=0", "--nmax=1"])
+@example(["oracle-check", "--preset=fig2", "--nmax=4", "--points=1e308"])
+@example(["oracle-check", "--preset=fig2", "--nmax=1", "--tolerance=nan"])
+def test_oracle_check_keeps_the_cli_contract(argv):
+    code, out, err = _run(argv)
+    if argv in ORACLE_EDGES:
+        assert code == EXIT_USAGE and "needs a series above order" in err
+    if code in (EXIT_OK, EXIT_TOLERANCE):
+        tolerance = [arg for arg in argv if arg.startswith("--tolerance=")]
+        assert 0.0 <= float((tolerance or ["=1e-3"])[0].split("=")[1]) \
+            < math.inf
+        assert err == ""
+        assert out.splitlines()[-1].startswith(
+            "PASS" if code == EXIT_OK else "FAIL")
+    if code == EXIT_LEAKAGE:
+        assert "boundary population" in err
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(
+    _argv("decompose", *(_option(name, FLOATS) for name in
+                         ("gamma1", "gamma2", "kappa", "length")),
+          _option("nmax", NMAX)),
+    _argv("decompose", *(_option(name, FLOATS) for name in
+                         ("r1", "r2", "psi")),
+          _option("nmax", NMAX))))
+@example(["decompose", "--gamma1=0.5", "--gamma2=-0", "--kappa=2e154",
+          "--length=1e308"])
+@example(["decompose", "--r1=800", "--r2=0.1", "--psi=0.5"])
+def test_decompose_keeps_the_cli_contract(argv):
+    code, out, err = _run(argv)
+    assert code != EXIT_TOLERANCE
+    if code == EXIT_OK:
+        assert err == ""
+        assert out.startswith("device=")
+    if code == EXIT_LEAKAGE:
+        assert "boundary population" in err

@@ -27,7 +27,12 @@ from coupledpdc.fock import (
     mode_occupations,
     pair_component,
 )
-from coupledpdc.moments import intensities, signal_coherence
+from coupledpdc.moments import (
+    CoherenceResult,
+    coherence_of,
+    intensities,
+    signal_coherence,
+)
 from coupledpdc.whichway import pair_state
 
 from oracles import (
@@ -348,20 +353,17 @@ def test_evolve_calls_expm_multiply_once_through_the_module_name(
 
 
 def test_sparsetools_coexist_with_scipy_sparse_imported_later():
-    # the package loads SciPy's compiled csr_matvec without scipy.sparse;
-    # scipy.sparse imported afterwards must reuse that module, and its
-    # products still work
+    # the package loads SciPy's compiled csr_matvec without importing
+    # scipy or scipy.sparse; scipy.sparse imported afterwards must still
+    # carry its _sparsetools attribute, with the same kernel
     code = textwrap.dedent("""
-        import importlib, sys
+        import sys
         import numpy as np
         import coupledpdc.fock as fock
-        from coupledpdc.device import ContinuousDevice
-        sparsetools = sys.modules["scipy.sparse._sparsetools"]
-        assert "scipy.sparse" not in sys.modules
+        assert "scipy" not in sys.modules
         import scipy.sparse
-        assert importlib.import_module("scipy.sparse._sparsetools") \\
-            is sparsetools
-        g = fock.build_generator(ContinuousDevice(0.1, 0.3, 3.0, 1.0),
+        assert scipy.sparse._sparsetools.csr_matvec is fock._csr_matvec
+        g = fock.build_generator(fock.ContinuousDevice(0.1, 0.3, 3.0, 1.0),
                                  fock.FockBasis.build(4))
         b = g.to_odd
         x = np.linspace(-1.0, 1.0, len(g.even))
@@ -377,10 +379,13 @@ def test_sparsetools_coexist_with_scipy_sparse_imported_later():
     assert proc.stdout == "ok\n"
 
 
-def test_scipy_extension_loader_names_a_missing_module():
-    with pytest.raises(ImportError, match=r"scipy\.sparse\._no_such_kernel"
-                                          r".* SciPy \d"):
-        fock._scipy_extension("scipy.sparse._no_such_kernel")
+def test_scipy_extension_loader_names_a_missing_module(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(fock.importlib.machinery.PathFinder, "find_spec",
+                        lambda *args: None)
+    with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"
+                                          r" not found in SciPy \d"):
+        fock._load_csr_matvec()
 
 
 def test_chebyshev_coefficients_match_bessel_functions():
@@ -468,7 +473,8 @@ def test_evolve_stack_rows_equal_single_lengths():
             ContinuousDevice(**couplings, length=0.0), basis)
         states, failed = evolve_stack(generator, basis, lengths)
         assert all(f is None for f in failed)
-        observables, undefined = fock.observables_stack(states)
+        ms = fock.moments_stack(states)
+        coherence, undefined = coherence_of(ms, ms.failed)
         for i, (length, state) in enumerate(zip(lengths, states)):
             alone = evolve(ContinuousDevice(**couplings, length=length),
                            basis)
@@ -476,14 +482,15 @@ def test_evolve_stack_rows_equal_single_lengths():
             assert state.leakage == alone.leakage
             # the block's row equals the single-state observables, field
             # by field, also where the coherence is undefined
+            assert mode_occupations(alone) == tuple(
+                ms.b[mode][i] for mode in ("s1", "i1", "s2", "i2"))
             if undefined[i] is not None:
                 with pytest.raises(UndefinedCoherenceError):
                     fock_observables(alone)
-                assert mode_occupations(alone) == (
-                    observables[i].n_s1, observables[i].n_i1,
-                    observables[i].n_s2, observables[i].n_i2)
             else:
-                assert fock_observables(alone) == observables[i]
+                assert fock_observables(alone).coherence == CoherenceResult(
+                    coherence.gamma[i], coherence.imag_residue[i],
+                    coherence.fragile[i])
     assert all(np.count_nonzero(s.amplitudes) == 1 for s in states)
 
 
