@@ -41,6 +41,7 @@ import argparse
 import contextlib
 import dataclasses
 import math
+import os
 import sys
 from collections import abc
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ import numpy as np
 from . import decompose as dec
 from . import moments as mom
 from . import whichway as ww
-from .config import TOL, Tolerances
 from .device import (
     CascadedDevice,
     ContinuousDevice,
@@ -160,11 +160,7 @@ MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A validated sweep request (variable, range, grid, output).
-
-    ``tol`` lets programmatic callers override the shared numerical
-    thresholds for a whole sweep; the CLI always uses the defaults.
-    """
+    """A validated sweep request (variable, range, grid, output)."""
 
     kind: str                    # "length" | "psi"
     device: Union[ContinuousDevice, CascadedDevice]
@@ -173,7 +169,6 @@ class SweepConfig:
     steps: int
     out: str = "-"
     columns: Optional[Sequence[str]] = None
-    tol: Tolerances = TOL
 
     def __post_init__(self) -> None:
         if self.kind not in ("length", "psi"):
@@ -185,9 +180,8 @@ class SweepConfig:
                              f"got {self.steps}")
         # every grid point must make a valid device; the grid is
         # monotone, so its two ends suffice
-        variable = "length" if self.kind == "length" else "psi"
         for end in (self.start, self.stop):
-            dataclasses.replace(self.device, **{variable: end})
+            dataclasses.replace(self.device, **{self.kind: end})
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -244,17 +238,16 @@ def _scheme_cells(prefix: str, scheme: dec.SchemeStack) -> Dict[str, List[str]]:
     return cells
 
 
-def _length_block(dev: ContinuousDevice, lengths: np.ndarray,
-                  tol: Tolerances):
+def _length_block(dev: ContinuousDevice, lengths: np.ndarray):
     """Cells, device failures and (stage, failures) of one block of a
     length sweep; a failure of the moments is the device's, and an
     undefined coherence an empty cell with ``gamma_defined = 0``."""
     m = transfer_stack(dev, lengths)
-    ms = mom.vacuum_moments(m, tol)
-    device = first_of(stack_failures(m, tol), ms.failed)
-    coh, gamma_failed = mom.coherence_of(ms, device, tol)
-    zou = dec.four_converter_stack(m, ms, device, tol)
-    ou = dec.interferometer_stack(m, ms, device, tol)
+    ms = mom.vacuum_moments(m)
+    device = first_of(stack_failures(m), ms.failed)
+    coh, gamma_failed = mom.coherence_of(ms, device)
+    zou = dec.four_converter_stack(m, ms, device)
+    ou = dec.interferometer_stack(m, ms, device)
     geo, geo_failed = ww.geometry_stack(*(zou.params[g] for g in
                                           ("g1", "g2", "g4", "g5")))
     defined = np.where(np.equal(gamma_failed, None), "1", "0")
@@ -272,16 +265,16 @@ def _length_block(dev: ContinuousDevice, lengths: np.ndarray,
                            ("zou", zou.failed), ("ou", ou.failed)]
 
 
-def _psi_block(dev: CascadedDevice, psis: np.ndarray, tol: Tolerances):
+def _psi_block(dev: CascadedDevice, psis: np.ndarray):
     """As :func:`_length_block` for a psi sweep, where a failure of the
     moments is the coherence's and the extraction's; the gamma column
     uses the aligned-idler sign convention (see COLUMN_DOCS["gamma"])."""
     m = cascaded_stack(dev, psis)
-    device = stack_failures(m, tol)
-    ms = mom.vacuum_moments(m, tol)
+    device = stack_failures(m)
+    ms = mom.vacuum_moments(m)
     upstream = first_of(device, ms.failed)
-    coh, gamma_failed = mom.coherence_of(ms, upstream, tol)
-    ou = dec.interferometer_stack(m, ms, upstream, tol)
+    coh, gamma_failed = mom.coherence_of(ms, upstream)
+    ou = dec.interferometer_stack(m, ms, upstream)
     cells = {"gamma": _cells(-coh.gamma, gamma_failed),
              **_scheme_cells("ou", ou)}
     return cells, device, [("gamma", gamma_failed), ("ou", ou.failed)]
@@ -337,7 +330,7 @@ def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> Rows:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(grid), BLOCK):
             values = grid[start:start + BLOCK]
-            cells, device, stages = block(cfg.device, values, cfg.tol)
+            cells, device, stages = block(cfg.device, values)
             cells[columns[0]] = _column(values)
             cells["status"] = _status(device, stages)
             for c in columns:
@@ -443,8 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fill_preset(args, wanted_kind: str) -> dict:
-    """Merge preset values and explicit flags; explicit flags win."""
+_CONTINUOUS = ("gamma1", "gamma2", "kappa")
+#: The keys a sweep cannot run without, by group of options
+_SWEEP_NEEDS = {"length": (_CONTINUOUS, ("start", "stop", "steps")),
+                "psi": (("r1", "r2"), ("steps",))}
+
+
+def _fill_preset(args, wanted_kind: str, needs=()) -> Optional[dict]:
+    """Merge preset values and explicit flags; explicit flags win.  Where
+    a group of keys in ``needs`` is incomplete, name it and return None."""
     merged: dict = {}
     if args.preset:
         preset = PRESETS[args.preset]
@@ -453,11 +453,17 @@ def _fill_preset(args, wanted_kind: str) -> dict:
                 f"preset {args.preset!r} configures a "
                 f"{preset['kind']} sweep, not {wanted_kind}")
         merged.update(preset)
-    for key in ("gamma1", "gamma2", "kappa", "r1", "r2",
-                "start", "stop", "steps"):
+    for key in (*_CONTINUOUS, "r1", "r2", "start", "stop", "steps"):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    missing = ["/".join("--" + {"start": "from", "stop": "to"}.get(k, k)
+                        for k in group)
+               for group in needs if not merged.keys() >= set(group)]
+    if missing:
+        print(f"{args.command} needs {' and '.join(missing)} or a preset",
+              file=sys.stderr)
+        return None
     return merged
 
 
@@ -466,11 +472,12 @@ def _cmd_sweep(args, kind: str) -> int:
     if args.describe_columns:
         sys.stdout.write(_describe(columns))
         return EXIT_OK
-    merged = _fill_preset(args, kind)
+    merged = _fill_preset(args, kind, _SWEEP_NEEDS[kind])
+    if merged is None:
+        return EXIT_USAGE
     try:
         if kind == "length":
-            dev = ContinuousDevice(merged["gamma1"], merged["gamma2"],
-                                   merged["kappa"], 0.0)
+            dev = ContinuousDevice(*(merged[k] for k in _CONTINUOUS), 0.0)
         else:
             dev = CascadedDevice(merged["r1"], merged["r2"], 0.0)
             merged.setdefault("start", 0.0)
@@ -479,7 +486,7 @@ def _cmd_sweep(args, kind: str) -> int:
                           start=merged["start"], stop=merged["stop"],
                           steps=int(merged["steps"]), out=args.out,
                           columns=_parse_columns(args, columns))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # the output is opened before any grid point is computed
@@ -586,12 +593,10 @@ def _oracle_applies(dev, command: str) -> bool:
 
 
 def _cmd_oracle_check(args) -> int:
-    merged = _fill_preset(args, "length")
-    if any(key not in merged for key in ("gamma1", "gamma2", "kappa")):
-        print("oracle-check needs --gamma1/--gamma2/--kappa or a preset",
-              file=sys.stderr)
+    merged = _fill_preset(args, "length", [_CONTINUOUS])
+    if merged is None:
         return EXIT_USAGE
-    merged_args = {key: merged[key] for key in ("gamma1", "gamma2", "kappa")}
+    merged_args = {key: merged[key] for key in _CONTINUOUS}
     try:
         lengths = [float(tok) for tok in args.points.split(",") if tok.strip()]
     except ValueError:
@@ -738,9 +743,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # stderr carries the program's own lines only, no numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return handlers[args.command](args)
+            code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: the rest goes to the null device; exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -1,9 +1,9 @@
 """Central numerical tolerances.
 
-Every module reads its thresholds from a single :class:`Tolerances` record
-so the library, the CLI and the test suites agree on what "zero" means.
-The defaults are the contract; construct a custom record only to loosen or
-tighten a specific check in exploratory work.
+Every module reads its thresholds from the single :class:`Tolerances`
+record :data:`TOL` so the library, the CLI and the test suites agree on
+what "zero" means.  No function takes another record: each check reads
+its module's ``TOL`` name when it runs.
 """
 
 from dataclasses import dataclass

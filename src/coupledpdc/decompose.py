@@ -22,11 +22,11 @@ device's output state exactly (the leftover matrix is passive, and passive
 stages act trivially on vacuum).
 
 Both extractions run on a stack of N transfer matrices at once
-(:func:`four_converter_stack`, :func:`interferometer_stack`): vectorized
-``arctanh`` inversions, batched stage products and, for the
-interferometer, one batched SVD.  Every check records its failure per
-row (see :mod:`coupledpdc.errors`); :func:`extract_four_converter` and
-:func:`extract_interferometer` are the same code on a batch of one.
+(:func:`four_converter_stack`, :func:`interferometer_stack`): ``tanh``
+inversions by :func:`~coupledpdc.linalg.atanh`, batched stage products
+and, for the interferometer, one batched SVD.  Every check records its
+failure per row (see :mod:`coupledpdc.errors`); :func:`extract_four_converter`
+and :func:`extract_interferometer` are the same code on a batch of one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Dict, Mapping, Union
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .device import TransferMatrix
 from .errors import (
     ExtractionResidualError,
@@ -68,16 +68,16 @@ __all__ = [
 ]
 
 
-def _cap_message(name: str, value: float, cap: float) -> str:
+def _cap_message(name: str, value: float) -> str:
     return (f"|{name}| = {abs(value)} is outside the sane inversion domain "
-            f"(cap {cap})")
+            f"(cap {TOL.scheme_parameter_cap})")
 
 
-def _check_coupling(name: str, value: float, cap: float) -> None:
+def _check_coupling(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if abs(value) >= cap:
-        raise ParameterCapError(_cap_message(name, value, cap))
+    if abs(value) >= TOL.scheme_parameter_cap:
+        raise ParameterCapError(_cap_message(name, value))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class FourConverterScheme:
 
     def __post_init__(self) -> None:
         for name in ("g1", "g2", "g4", "g5"):
-            _check_coupling(name, getattr(self, name), TOL.scheme_parameter_cap)
+            _check_coupling(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class InterferometerScheme:
 
     def __post_init__(self) -> None:
         for name in ("g1", "g2"):
-            _check_coupling(name, getattr(self, name), TOL.scheme_parameter_cap)
+            _check_coupling(name, getattr(self, name))
         half_pi = math.pi / 2
         for name in ("phi_s", "phi_i"):
             value = getattr(self, name)
@@ -207,7 +207,7 @@ def mixer_stage(phi_s, phi_i) -> np.ndarray:
 # flag failing rows in the ``failed`` record they are given, except
 # ``_undo_direct``, which returns an extended copy.
 
-def _invert_tanh(arg: np.ndarray, failed: np.ndarray, tol: Tolerances,
+def _invert_tanh(arg: np.ndarray, failed: np.ndarray,
                  *, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``tanh(2g) = arg`` for real g, per row.
 
@@ -216,20 +216,19 @@ def _invert_tanh(arg: np.ndarray, failed: np.ndarray, tol: Tolerances,
     argument past +-1 within it is clamped.
     """
     imag = np.abs(arg.imag)
-    flag(failed, imag > tol.imag_correlation, lambda i: NonRealCorrelationError(
+    flag(failed, imag > TOL.imag_correlation, lambda i: NonRealCorrelationError(
         f"{what}: inversion argument has imaginary part {imag[i]:.3e}"))
     x = arg.real
     over = np.abs(x) >= 1.0
-    flag(failed, over & (np.abs(x) - 1.0 > tol.tanh_overshoot),
+    flag(failed, over & (np.abs(x) - 1.0 > TOL.tanh_overshoot),
          lambda i: TanhDomainError(
              f"{what}: |tanh argument| = {abs(x[i])} exceeds 1 beyond the "
              "rounding allowance"))
-    x = np.where(over, np.copysign(1.0 - tol.tanh_clamp, x), x)
+    x = np.where(over, np.copysign(1.0 - TOL.tanh_clamp, x), x)
     return 0.5 * atanh(x), imag
 
 
-def _undo_direct(partial: np.ndarray, failed: np.ndarray, tol: Tolerances,
-                 scheme: str):
+def _undo_direct(partial: np.ndarray, failed: np.ndarray, scheme: str):
     """Direct converter couplings that decorrelate ``partial``, and the
     residual left once they are undone too.
 
@@ -239,36 +238,34 @@ def _undo_direct(partial: np.ndarray, failed: np.ndarray, tol: Tolerances,
     moment of the fully back-propagated stack.  Returns ``(g1, g2,
     imag_residue, residual, failed)``.
     """
-    ms = vacuum_moments(partial, tol)
+    ms = vacuum_moments(partial)
     failed = first_of(failed, ms.failed)
     t1 = -2j * ms.d["s1i1"] / (ms.b["s1"] + ms.b["i1"] + 1.0)
     t2 = -2j * ms.d["s2i2"] / (ms.b["s2"] + ms.b["i2"] + 1.0)
-    g1, imag1 = _invert_tanh(t1, failed, tol, what="direct gain g1")
-    g2, imag2 = _invert_tanh(t2, failed, tol, what="direct gain g2")
-    final = vacuum_moments(direct_stage(g1, g2) @ partial, tol)
+    g1, imag1 = _invert_tanh(t1, failed, what="direct gain g1")
+    g2, imag2 = _invert_tanh(t2, failed, what="direct gain g2")
+    final = vacuum_moments(direct_stage(g1, g2) @ partial)
     failed = first_of(failed, final.failed)
     residual = final.max_abs()
-    flag(failed, residual > tol.extraction_residual_max,
+    flag(failed, residual > TOL.extraction_residual_max,
          lambda i: ExtractionResidualError(
              f"{scheme} residual {residual[i]:.3e} exceeds "
-             f"{tol.extraction_residual_max:.0e}"))
+             f"{TOL.extraction_residual_max:.0e}"))
     return g1, g2, np.maximum(imag1, imag2), residual, failed
 
 
-def _flag_caps(failed: np.ndarray, couplings: Mapping[str, np.ndarray],
-               tol: Tolerances) -> None:
-    cap = tol.scheme_parameter_cap
+def _flag_caps(failed: np.ndarray, couplings: Mapping[str, np.ndarray]):
     for name, value in couplings.items():
-        flag(failed, np.abs(value) >= cap, lambda i: ParameterCapError(
-            _cap_message(name, value[i], cap)))
+        flag(failed, np.abs(value) >= TOL.scheme_parameter_cap,
+             lambda i: ParameterCapError(_cap_message(name, value[i])))
 
 
-def _extract_one(extract, tm: TransferMatrix, tol: Tolerances, scheme_type,
+def _extract_one(extract, tm: TransferMatrix, scheme_type,
                  branch: str) -> ExtractionReport:
     """``extract`` on a batch of one: its report, or its failure raised."""
     m = tm.matrix[None]
-    ms = vacuum_moments(m, tol)
-    stack = extract(m, ms, ms.failed, tol)
+    ms = vacuum_moments(m)
+    stack = extract(m, ms, ms.failed)
     raise_first(stack.failed)
     return ExtractionReport(
         scheme=scheme_type(**{k: float(v[0]) for k, v in stack.params.items()}),
@@ -281,8 +278,8 @@ def _extract_one(extract, tm: TransferMatrix, tol: Tolerances, scheme_type,
 # ---------------------------------------------------------------------------
 # four-converter extraction
 
-def four_converter_stack(m: np.ndarray, ms: MomentSet, failed: np.ndarray,
-                         tol: Tolerances = TOL) -> SchemeStack:
+def four_converter_stack(m: np.ndarray, ms: MomentSet,
+                         failed: np.ndarray) -> SchemeStack:
     """Four-converter scheme of each matrix of an ``(N, 4, 4)`` stack.
 
     ``ms`` are the stack's vacuum moments and ``failed`` the failures
@@ -291,26 +288,25 @@ def four_converter_stack(m: np.ndarray, ms: MomentSet, failed: np.ndarray,
     direct couplings from the remaining s1-i1 and s2-i2 conditions; the
     residual is taken after the final back-propagation, where every
     vacuum moment must be zero.  Each coupling must stay below
-    ``tol.scheme_parameter_cap``.
+    ``TOL.scheme_parameter_cap``.
     """
     failed = failed.copy()
     t4 = 2.0 * ms.d["s1i2"] / (ms.b["s1"] + ms.b["i2"] + 1.0)
     t5 = 2.0 * ms.d["s2i1"] / (ms.b["s2"] + ms.b["i1"] + 1.0)
-    g4, imag4 = _invert_tanh(t4, failed, tol, what="crossed gain g4")
-    g5, imag5 = _invert_tanh(t5, failed, tol, what="crossed gain g5")
+    g4, imag4 = _invert_tanh(t4, failed, what="crossed gain g4")
+    g5, imag5 = _invert_tanh(t5, failed, what="crossed gain g5")
     g1, g2, imag12, residual, failed = _undo_direct(
-        crossed_stage(g4, g5) @ m, failed, tol, "four-converter")
+        crossed_stage(g4, g5) @ m, failed, "four-converter")
     params = {"g1": g1, "g2": g2, "g4": g4, "g5": g5}
-    _flag_caps(failed, params, tol)
+    _flag_caps(failed, params)
     return SchemeStack(params, residual,
                        np.maximum(np.maximum(imag4, imag5), imag12), failed)
 
 
-def extract_four_converter(tm: TransferMatrix,
-                           tol: Tolerances = TOL) -> ExtractionReport:
+def extract_four_converter(tm: TransferMatrix) -> ExtractionReport:
     """Extract the four-converter scheme from a transfer matrix (see
     :func:`four_converter_stack`); raises the first failed check."""
-    return _extract_one(four_converter_stack, tm, tol, FourConverterScheme,
+    return _extract_one(four_converter_stack, tm, FourConverterScheme,
                         "closed-form")
 
 
@@ -335,8 +331,8 @@ def _mixer_angle(v0: np.ndarray, v1: np.ndarray, sign: float) -> np.ndarray:
     return np.where(phi <= -math.pi / 2, phi + math.pi, phi)
 
 
-def interferometer_stack(m: np.ndarray, ms: MomentSet, failed: np.ndarray,
-                         tol: Tolerances = TOL) -> SchemeStack:
+def interferometer_stack(m: np.ndarray, ms: MomentSet,
+                         failed: np.ndarray) -> SchemeStack:
     """Interferometer scheme of each matrix of an ``(N, 4, 4)`` stack.
 
     ``ms`` are the stack's vacuum moments and ``failed`` the failures
@@ -380,14 +376,13 @@ def interferometer_stack(m: np.ndarray, ms: MomentSet, failed: np.ndarray,
                      _mixer_angle(np.conj(right_h[:, 0, 0]),
                                   np.conj(right_h[:, 0, 1]), -1.0))
     g1, g2, imag, residual, failed = _undo_direct(
-        mixer_stage(phi_s, phi_i) @ m, failed, tol, "interferometer")
-    _flag_caps(failed, {"g1": g1, "g2": g2}, tol)
+        mixer_stage(phi_s, phi_i) @ m, failed, "interferometer")
+    _flag_caps(failed, {"g1": g1, "g2": g2})
     params = {"g1": g1, "g2": g2, "phi_s": phi_s, "phi_i": phi_i}
     return SchemeStack(params, residual, imag, failed)
 
 
-def extract_interferometer(tm: TransferMatrix,
-                           tol: Tolerances = TOL) -> ExtractionReport:
+def extract_interferometer(tm: TransferMatrix) -> ExtractionReport:
     """Extract the interferometer scheme from a transfer matrix (see
     :func:`interferometer_stack`).
 
@@ -395,15 +390,14 @@ def extract_interferometer(tm: TransferMatrix,
     :class:`~coupledpdc.errors.ExtractionResidualError` when the
     back-propagated moments do not vanish to tolerance.
     """
-    return _extract_one(interferometer_stack, tm, tol, InterferometerScheme,
+    return _extract_one(interferometer_stack, tm, InterferometerScheme,
                         "svd")
 
 
 # ---------------------------------------------------------------------------
 # forward synthesis and scheme diagnostics
 
-def four_converter_matrix(scheme: FourConverterScheme,
-                          tol: Tolerances = TOL) -> TransferMatrix:
+def four_converter_matrix(scheme: FourConverterScheme) -> TransferMatrix:
     """Forward transfer matrix of the four-converter scheme.
 
     Equals the original device's matrix only up to a passive stage, but
@@ -411,19 +405,17 @@ def four_converter_matrix(scheme: FourConverterScheme,
     """
     forward = crossed_stage(-scheme.g4, -scheme.g5) \
         @ direct_stage(-scheme.g1, -scheme.g2)
-    return TransferMatrix(forward, tol=tol)
+    return TransferMatrix(forward)
 
 
-def interferometer_matrix(scheme: InterferometerScheme,
-                          tol: Tolerances = TOL) -> TransferMatrix:
+def interferometer_matrix(scheme: InterferometerScheme) -> TransferMatrix:
     """Forward transfer matrix of the interferometer scheme."""
     forward = mixer_stage(-scheme.phi_s, -scheme.phi_i) \
         @ direct_stage(-scheme.g1, -scheme.g2)
-    return TransferMatrix(forward, tol=tol)
+    return TransferMatrix(forward)
 
 
-def equivalence_residual(tm: TransferMatrix, scheme: Scheme,
-                         tol: Tolerances = TOL) -> float:
+def equivalence_residual(tm: TransferMatrix, scheme: Scheme) -> float:
     """Largest vacuum moment left after undoing ``scheme`` behind ``tm``.
 
     Zero (to rounding) certifies that the scheme generates the same
@@ -438,18 +430,17 @@ def equivalence_residual(tm: TransferMatrix, scheme: Scheme,
             @ mixer_stage(scheme.phi_s, scheme.phi_i) @ m
     else:
         raise TypeError(f"unsupported scheme type {type(scheme).__name__}")
-    return vacuum_moments(undone, tol).max_abs()
+    return vacuum_moments(undone).max_abs()
 
 
-def gain_bound(tm: TransferMatrix, scheme: FourConverterScheme,
-               tol: Tolerances = TOL) -> GainBound:
+def gain_bound(tm: TransferMatrix, scheme: FourConverterScheme) -> GainBound:
     """Photon-number inequality between a device and its scheme.
 
     The device's total signal output must be at least the sum of
     ``sinh^2 g`` over the scheme couplings, which in turn caps each
     individual coupling.
     """
-    ms = vacuum_moments(tm, tol)
+    ms = vacuum_moments(tm)
     lhs = ms.b["s1"] + ms.b["s2"]
     rhs = (math.sinh(scheme.g1) ** 2 + math.sinh(scheme.g2) ** 2
            + math.sinh(scheme.g4) ** 2 + math.sinh(scheme.g5) ** 2)
@@ -457,5 +448,5 @@ def gain_bound(tm: TransferMatrix, scheme: FourConverterScheme,
         signal_total=lhs,
         scheme_total=rhs,
         parameter_cap=math.asinh(math.sqrt(max(lhs, 0.0))),
-        violated=lhs < rhs - tol.gain_bound_slack,
+        violated=lhs < rhs - TOL.gain_bound_slack,
     )

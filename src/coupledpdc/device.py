@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import (
     NonFiniteMatrixError,
     SymplecticDriftError,
@@ -147,13 +147,13 @@ def symplectic_residual(m: np.ndarray) -> float:
     return float(_symplectic_residuals(m[None])[0])
 
 
-def stack_failures(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+def stack_failures(m: np.ndarray) -> np.ndarray:
     """First failure of each matrix of an ``(N, 4, 4)`` stack under the
     :class:`TransferMatrix` checks (see :mod:`coupledpdc.errors`)."""
     failed = no_failures(len(m))
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.abs(m).max(axis=(1, 2))
-        allowed = tol.symplectic * np.maximum(1.0, peak * peak)
+        allowed = TOL.symplectic * np.maximum(1.0, peak * peak)
         resid = _symplectic_residuals(m)
     ok = np.isfinite(resid) & (resid <= allowed)
     if not ok.all():
@@ -182,13 +182,12 @@ class TransferMatrix:
     """
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {m.shape}")
-        raise_first(stack_failures(m[None], self.tol))
+        raise_first(stack_failures(m[None]))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -253,8 +252,8 @@ def expm(a) -> np.ndarray:
     stack is bit-identical to the matrix alone.  ``g1 L``, ``g2 L`` and
     ``kappa L`` are read from ``a[..., 0, 2]``, ``a[..., 1, 3]`` and
     ``-a[..., 2, 3]``; any other matrix raises ``ValueError``.  Far above
-    threshold the entries overflow to non-finite values, which
-    :func:`stack_failures` reports.
+    threshold, or where ``g L`` itself overflows, the entries are
+    non-finite, which :func:`stack_failures` reports.
 
     With ``K = H L``, ``K^2`` has the eigenvalues ``mu = (s +- d)^2``,
     where ``s^2 = (kappa^2 - (|g1| - |g2|)^2) L^2 / 4`` and ``d^2 =
@@ -272,9 +271,11 @@ def expm(a) -> np.ndarray:
     k = np.zeros(a.shape)
     k[..., 0, 2], k[..., 2, 0], k[..., 1, 3], k[..., 3, 1] = x1, -x1, x2, -x2
     k[..., 2, 3] = k[..., 3, 2] = -y
-    if not np.array_equal(a, 1j * k):
-        raise ValueError("expm takes finite generators i H L of a "
-                         "continuous device (see build_hamiltonian)")
+    # the parts apart, as 1j * inf has a NaN real part
+    if a.real.any() or not np.array_equal(a.imag, k):
+        raise ValueError("expm takes generators i H L of a continuous device "
+                         "(see build_hamiltonian), non-finite only as g L "
+                         "overflows")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ax1, ax2, ay = np.abs(x1), np.abs(x2), np.abs(y)
         hi, lo = np.maximum(ax1, ax2), np.minimum(ax1, ax2)
@@ -303,10 +304,9 @@ def expm(a) -> np.ndarray:
     return m
 
 
-def transfer_matrix(dev: ContinuousDevice, tol: Tolerances = TOL) -> TransferMatrix:
+def transfer_matrix(dev: ContinuousDevice) -> TransferMatrix:
     """Transfer matrix ``M = exp(i H L)`` of the continuous device."""
-    return TransferMatrix(transfer_stack(dev, np.array([dev.length]))[0],
-                          tol=tol)
+    return TransferMatrix(transfer_stack(dev, np.array([dev.length]))[0])
 
 
 def transfer_stack(dev: ContinuousDevice, lengths: np.ndarray) -> np.ndarray:
@@ -350,21 +350,21 @@ def cascaded_stack(dev: CascadedDevice, psis: np.ndarray) -> np.ndarray:
     return m
 
 
-def cascaded_transfer_matrix(dev: CascadedDevice, tol: Tolerances = TOL) -> TransferMatrix:
+def cascaded_transfer_matrix(dev: CascadedDevice) -> TransferMatrix:
     """Transfer matrix of the cascaded device with partially aligned idlers."""
-    return TransferMatrix(cascaded_stack(dev, np.array([dev.psi]))[0], tol=tol)
+    return TransferMatrix(cascaded_stack(dev, np.array([dev.psi]))[0])
 
 
-def classify_regime(dev: ContinuousDevice, tol: Tolerances = TOL) -> Regime:
+def classify_regime(dev: ContinuousDevice) -> Regime:
     """Classify the device against the gain/coupling threshold.
 
     ``|kappa| < |gamma1| + |gamma2|`` is above threshold (exponential
     growth), the reverse is below threshold (bounded oscillations), and
-    equality within ``tol.threshold_equality`` is reported as its own
+    equality within ``TOL.threshold_equality`` is reported as its own
     value rather than forced into either side.
     """
     gain = abs(dev.gamma1) + abs(dev.gamma2)
-    if abs(abs(dev.kappa) - gain) <= tol.threshold_equality:
+    if abs(abs(dev.kappa) - gain) <= TOL.threshold_equality:
         return Regime.AT_THRESHOLD
     if abs(dev.kappa) < gain:
         return Regime.ABOVE_THRESHOLD

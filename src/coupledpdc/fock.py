@@ -47,7 +47,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .device import ContinuousDevice
 from .errors import TruncationLeakageError, flag, no_failures, raise_first
 from .moments import CoherenceResult, MomentSet, coherence_of
@@ -494,16 +494,15 @@ def expm_multiply(generator: ChiralGenerator, vector: np.ndarray,
 
 
 def evolve_stack(generator: ChiralGenerator, basis: FockBasis,
-                 lengths: np.ndarray, tol: Tolerances = TOL,
-                 ) -> Tuple[List[FockState], np.ndarray]:
+                 lengths: np.ndarray) -> Tuple[List[FockState], np.ndarray]:
     """The vacuum evolved by ``generator`` (:func:`build_generator` on
     ``basis``) over each of ``lengths``, from one :func:`expm_multiply`.
 
     Returns the states and each length's first failure (see
     :mod:`coupledpdc.errors`): an ``ArithmeticError`` when the norm is off
-    1 by more than ``tol.fock_norm``, then a
+    1 by more than ``TOL.fock_norm``, then a
     :class:`~coupledpdc.errors.TruncationLeakageError` when the boundary
-    population exceeds ``tol.fock_leakage_max``.
+    population exceeds ``TOL.fock_leakage_max``.
     """
     vacuum = np.zeros(basis.size)
     vacuum[0] = 1.0
@@ -515,28 +514,27 @@ def evolve_stack(generator: ChiralGenerator, basis: FockBasis,
     boundary = np.max(basis.occupations, axis=1) == basis.n_max
     leakage = np.array([np.sum(np.abs(row[boundary]) ** 2) for row in psi])
     failed = no_failures(len(psi))
-    flag(failed, np.abs(norm - 1.0) > tol.fock_norm,
+    flag(failed, np.abs(norm - 1.0) > TOL.fock_norm,
          lambda i: ArithmeticError(
              f"evolution lost unitarity: norm = {float(norm[i])!r}"))
-    flag(failed, leakage > tol.fock_leakage_max,
+    flag(failed, leakage > TOL.fock_leakage_max,
          lambda i: TruncationLeakageError(
              f"boundary population {leakage[i]:.3e} exceeds "
-             f"{tol.fock_leakage_max:.0e}; raise the cutoff"))
+             f"{TOL.fock_leakage_max:.0e}; raise the cutoff"))
     states = [FockState(basis=basis, amplitudes=row, leakage=float(leak))
               for row, leak in zip(psi, leakage)]
     return states, failed
 
 
-def evolve(dev: ContinuousDevice, basis: FockBasis,
-           tol: Tolerances = TOL) -> FockState:
+def evolve(dev: ContinuousDevice, basis: FockBasis) -> FockState:
     """Evolve the vacuum over the device's interaction length:
     :func:`evolve_stack` on a batch of one.
 
     Raises :class:`~coupledpdc.errors.TruncationLeakageError` when the
-    boundary population exceeds ``tol.fock_leakage_max``.
+    boundary population exceeds ``TOL.fock_leakage_max``.
     """
     states, failed = evolve_stack(build_generator(dev, basis), basis,
-                                  np.array([dev.length]), tol)
+                                  np.array([dev.length]))
     raise_first(failed)
     return states[0]
 
@@ -586,12 +584,12 @@ def mode_occupations(state: FockState) -> Tuple[float, float, float, float]:
     return tuple(float(b[mode][0]) for mode in _MODES)
 
 
-def fock_observables(state: FockState, tol: Tolerances = TOL) -> FockObservables:
+def fock_observables(state: FockState) -> FockObservables:
     """Exact mode occupations and mutual signal coherence of ``state``
     (:func:`moments_stack` and :func:`~coupledpdc.moments.coherence_of`
     on a batch of one); raises the failure the coherence records."""
     ms = moments_stack([state])
-    coh, failed = coherence_of(ms, ms.failed, tol)
+    coh, failed = coherence_of(ms, ms.failed)
     raise_first(failed)
     return FockObservables(
         *(float(ms.b[mode][0]) for mode in _MODES), CoherenceResult(

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .device import TransferMatrix
 from .errors import (
     CoherenceBoundError,
@@ -121,7 +121,7 @@ _PAIR_K = np.array([[4 * k + c, 4 * k + c + 1] for _, k, c in _PAIRS.values()])
 _MODE_J = np.array([[4 * j + c, 4 * j + c + 1] for j, c in _MODES.values()])
 
 
-def _stack(m: np.ndarray, tol: Tolerances) -> MomentSet:
+def _stack(m: np.ndarray) -> MomentSet:
     """Moments of each matrix of an ``(N, 4, 4)`` stack, with failures."""
     flat = m.reshape(len(m), 16)
     terms = flat[:, _PAIR_J] * np.conj(flat[:, _PAIR_K])
@@ -131,7 +131,7 @@ def _stack(m: np.ndarray, tol: Tolerances) -> MomentSet:
     signal = b["s1"] + b["s2"]
     pair_gap = np.abs(signal - b["i1"] - b["i2"])
     failed = no_failures(len(m))
-    ok = pair_gap <= tol.pair_conservation * np.maximum(1.0, signal)
+    ok = pair_gap <= TOL.pair_conservation * np.maximum(1.0, signal)
     if not ok.all():
         flag(failed, ~np.isfinite(pair_gap), lambda i: NonFiniteMatrixError(
             f"occupations overflowed: signal total {signal[i]:.3e}"))
@@ -142,8 +142,7 @@ def _stack(m: np.ndarray, tol: Tolerances) -> MomentSet:
                      failed=failed)
 
 
-def vacuum_moments(tm: Union[TransferMatrix, np.ndarray],
-                   tol: Tolerances = TOL) -> MomentSet:
+def vacuum_moments(tm: Union[TransferMatrix, np.ndarray]) -> MomentSet:
     """All non-vanishing vacuum-input second moments of ``tm``'s output.
 
     ``tm`` is a validated :class:`TransferMatrix`, a raw 4x4 array (the
@@ -151,63 +150,63 @@ def vacuum_moments(tm: Union[TransferMatrix, np.ndarray],
     ``(N, 4, 4)`` stack of either kind.  The checks: an occupation that
     overflows is a :class:`~coupledpdc.errors.NonFiniteMatrixError`, and
     signal and idler totals that differ by more than
-    ``tol.pair_conservation`` times ``max(1, signal total)`` a
+    ``TOL.pair_conservation`` times ``max(1, signal total)`` a
     :class:`~coupledpdc.errors.PairConservationError`.  A single matrix
     raises them; a stack records them per matrix in ``failed``.
     """
     m = tm.matrix if isinstance(tm, TransferMatrix) else np.asarray(tm)
     if m.ndim == 3:
-        return _stack(m, tol)
-    ms = _stack(m[None], tol)
+        return _stack(m)
+    ms = _stack(m[None])
     raise_first(ms.failed)
     return MomentSet(d=MappingProxyType({k: v[0] for k, v in ms.d.items()}),
                      b=MappingProxyType({k: v[0] for k, v in ms.b.items()}))
 
 
-def coherence_of(ms: MomentSet, failed: np.ndarray,
-                 tol: Tolerances = TOL) -> tuple[CoherenceResult, np.ndarray]:
+def coherence_of(ms: MomentSet,
+                 failed: np.ndarray) -> tuple[CoherenceResult, np.ndarray]:
     """Signal coherence of each matrix of a stack's moments.
 
     ``failed`` holds the failures already recorded upstream; the returned
     record adds :class:`~coupledpdc.errors.UndefinedCoherenceError` where
-    either signal occupation is at most ``tol.coherence_epsilon`` and
+    either signal occupation is at most ``TOL.coherence_epsilon`` and
     :class:`~coupledpdc.errors.CoherenceBoundError` where ``|gamma|``
-    exceeds ``1 + tol.coherence_bound_slack``.
+    exceeds ``1 + TOL.coherence_bound_slack``.
     """
     failed = failed.copy()
     n1, n2 = ms.b["s1"], ms.b["s2"]
     low = np.minimum(n1, n2)
-    undefined = low <= tol.coherence_epsilon
+    undefined = low <= TOL.coherence_epsilon
     flag(failed, undefined, lambda i: UndefinedCoherenceError(
         f"signal occupations ({n1[i]:.3e}, {n2[i]:.3e}) are too small to "
         "normalize the cross-correlation"))
     value = -1j * ms.d["s1s2"] / np.sqrt(np.where(undefined, 1.0, n1 * n2))
     gamma = value.real
-    flag(failed, np.abs(gamma) > 1.0 + tol.coherence_bound_slack,
+    flag(failed, np.abs(gamma) > 1.0 + TOL.coherence_bound_slack,
          lambda i: CoherenceBoundError(
              f"|gamma| = {abs(gamma[i])} violates the unit bound"))
     return CoherenceResult(gamma=gamma, imag_residue=np.abs(value.imag),
-                           fragile=low < tol.coherence_fragile), failed
+                           fragile=low < TOL.coherence_fragile), failed
 
 
-def signal_coherence(tm: TransferMatrix, tol: Tolerances = TOL) -> CoherenceResult:
+def signal_coherence(tm: TransferMatrix) -> CoherenceResult:
     """Normalized mutual coherence of the two output signal modes.
 
     Raises :class:`~coupledpdc.errors.UndefinedCoherenceError` when either
-    signal occupation is below ``tol.coherence_epsilon`` (the 0/0 case at
+    signal occupation is below ``TOL.coherence_epsilon`` (the 0/0 case at
     zero length or for an absent, uncoupled converter), and
     :class:`~coupledpdc.errors.CoherenceBoundError` when ``|gamma|``
     breaks the unit bound beyond rounding.
     """
-    ms = vacuum_moments(tm.matrix[None], tol)
-    coh, failed = coherence_of(ms, ms.failed, tol)
+    ms = vacuum_moments(tm.matrix[None])
+    coh, failed = coherence_of(ms, ms.failed)
     raise_first(failed)
     return CoherenceResult(gamma=float(coh.gamma[0]),
                            imag_residue=float(coh.imag_residue[0]),
                            fragile=bool(coh.fragile[0]))
 
 
-def intensities(tm: TransferMatrix, tol: Tolerances = TOL) -> Intensities:
+def intensities(tm: TransferMatrix) -> Intensities:
     """Occupations of all four output modes."""
-    ms = vacuum_moments(tm, tol)
+    ms = vacuum_moments(tm)
     return Intensities(s1=ms.b["s1"], s2=ms.b["s2"], i1=ms.b["i1"], i2=ms.b["i2"])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -193,8 +194,8 @@ def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):
 
     kernel = cli.dec.interferometer_stack
 
-    def forced(m, ms, failed, tol):
-        ou = kernel(m, ms, failed, tol)
+    def forced(m, ms, failed):
+        ou = kernel(m, ms, failed)
         flag(ou.failed, np.ones(len(m), dtype=bool),
              lambda i: TanhDomainError("forced for the test"))
         return ou
@@ -545,9 +546,63 @@ def test_decompose_of_an_overflowing_generator_prints_its_reason_only(capsys):
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "invalid device: expm takes finite generators i H L of a continuous "
-        "device (see build_hamiltonian)\n")
+    assert captured.err == "invalid device: matrix has non-finite entries\n"
+
+
+def test_a_sweep_whose_generator_overflows_tags_every_row(capsys):
+    # g1 L overflows to infinity: the rows carry the device's tag, the
+    # sweep still runs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("sweep-length", "--preset", "fig2", "--gamma1",
+                       "1e308", "--steps", "3") == EXIT_OK
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, *lines = captured.out.splitlines()
+    assert header == ",".join(LENGTH_COLUMNS) and len(lines) == 3
+    assert all(line.endswith(",device:non-finite") for line in lines)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-length", "--gamma2", "0.3", "--kappa", "3", "--from", "0",
+      "--to", "1", "--steps", "3"],
+     "sweep-length needs --gamma1/--gamma2/--kappa or a preset"),
+    (["sweep-length", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
+      "--from", "0", "--to", "1"],
+     "sweep-length needs --from/--to/--steps or a preset"),
+    (["sweep-length"], "sweep-length needs --gamma1/--gamma2/--kappa and "
+                       "--from/--to/--steps or a preset"),
+    (["sweep-psi", "--r1", "0.1", "--steps", "3"],
+     "sweep-psi needs --r1/--r2 or a preset"),
+    (["sweep-psi", "--r1", "0.1", "--r2", "0.1"],
+     "sweep-psi needs --steps or a preset"),
+])
+def test_a_sweep_missing_an_option_names_the_options(argv, message, capsys):
+    assert run_cli(*argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
+     "--length", "1"],
+    ["sweep-psi", "--preset", "fig7"],
+    ["oracle-check", "--preset", "fig2"],
+])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # stdout is a pipe whose reader is gone before the program starts
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "coupledpdc", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # no traceback, nor any other line
 
 
 @pytest.mark.parametrize("length", ["1e308", "50000"])

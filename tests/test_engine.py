@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import coupledpdc.cli as cli
+from coupledpdc import decompose, moments
 from coupledpdc.cli import (
     BLOCK,
     LENGTH_COLUMNS,
@@ -125,35 +126,36 @@ def test_memory_beyond_the_rows_does_not_grow_with_steps():
     assert _transient_bytes(4 * BLOCK + 17) <= 1.2 * one_block + 64 * 1024
 
 
-def _sweep(tol: Tolerances, steps: int = 6):
+def _sweep(steps: int = 6):
     return sweep_length_rows(SweepConfig(kind="length", device=FIG2,
-                                         start=0.5, stop=3.0, steps=steps,
-                                         tol=tol))
+                                         start=0.5, stop=3.0, steps=steps))
 
 
-def test_coherence_bound_is_a_tagged_domain_error():
+def test_coherence_bound_is_a_tagged_domain_error(monkeypatch):
     # a negative slack puts every nonzero coherence past the bound
-    tol = Tolerances(coherence_bound_slack=-1.0)
+    monkeypatch.setattr(moments, "TOL",
+                        Tolerances(coherence_bound_slack=-1.0))
     assert issubclass(CoherenceBoundError, PdcModelError)
     with pytest.raises(ValueError, match="unit bound"):
         signal_coherence(transfer_matrix(
-            ContinuousDevice(0.1, 0.3, 3.0, 1.0)), tol)
-    for row in _sweep(tol):
+            ContinuousDevice(0.1, 0.3, 3.0, 1.0)))
+    for row in _sweep():
         assert row["status"] == "gamma:coherence-bound"
         assert row["gamma"] == "" and row["gamma_defined"] == "0"
         assert row["zou_g1"] != "" and row["ou_g1"] != ""
 
 
-def test_parameter_cap_is_a_tagged_domain_error():
-    # a cap below the fig2 couplings: both extractions fail on it
-    tol = Tolerances(scheme_parameter_cap=0.02)
+def test_parameter_cap_is_a_tagged_domain_error(monkeypatch):
     with pytest.raises(ParameterCapError, match="cap 10"):
         FourConverterScheme(g1=11.0, g2=0.0, g4=0.0, g5=0.0)
     assert issubclass(ParameterCapError, ValueError)
+    # a cap below the fig2 couplings: both extractions fail on it
+    monkeypatch.setattr(decompose, "TOL",
+                        Tolerances(scheme_parameter_cap=0.02))
     with pytest.raises(ParameterCapError, match="cap 0.02"):
         extract_four_converter(transfer_matrix(
-            ContinuousDevice(0.1, 0.3, 3.0, 1.0)), tol)
-    rows = _sweep(tol)
+            ContinuousDevice(0.1, 0.3, 3.0, 1.0)))
+    rows = _sweep()
     assert all(row["status"] == "zou:parameter-cap;ou:parameter-cap"
                for row in rows)
     assert all(row["zou_g1"] == row["ou_residual"] == "" for row in rows)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from coupledpdc.device import (
     ContinuousDevice,
     build_hamiltonian,
     expm,
+    stack_failures,
     transfer_matrix,
 )
 from coupledpdc.errors import NonFiniteMatrixError, PdcModelError
@@ -126,6 +128,21 @@ def test_expm_refuses_matrices_outside_the_device_family():
             expm(np.stack([good, bad]))
 
 
+def test_an_overflowed_generator_gives_a_non_finite_matrix():
+    # g1 L = inf: the generator is still of the device family, and its
+    # exponential is reported by the matrix checks, not refused by expm
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _generator(1e308, 0.3, 3.0, 10.0)
+        # 1j times the same entries has NaN real parts: not a generator
+        nan_real = 1j * a.imag
+    assert np.isinf(a.imag).any() and not a.real.any()
+    m = expm(a[None])
+    assert not np.isfinite(m).all()
+    assert isinstance(stack_failures(m)[0], NonFiniteMatrixError)
+    with pytest.raises(ValueError, match="continuous device"):
+        expm(nan_real)
+
+
 def test_expm_overflow_is_a_model_error():
     # far above threshold exp(iHL) overflows; sweeps tag such a row
     # instead of aborting, so the failure must be a domain error
@@ -160,6 +177,33 @@ def test_tolerances_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         TOL.symplectic = 1.0  # type: ignore[misc]
     assert isinstance(TOL, Tolerances)
+
+
+def test_no_function_or_record_takes_a_threshold_override():
+    # every check reads its module's TOL; a `tol` parameter or field
+    # would bring back a second way to set a threshold
+    import coupledpdc
+    from coupledpdc import (cli, config, decompose, device, errors, fock,
+                            linalg, moments, whichway)
+    modules = (config, device, linalg, moments, decompose, whichway, fock,
+               errors, cli)
+    objects = [getattr(coupledpdc, name) for name in coupledpdc.__all__]
+    objects += [getattr(module, name) for module in modules
+                for name in dir(module) if name.endswith("_stack")]
+    objects += [obj for module in modules for obj in vars(module).values()
+                if getattr(obj, "__module__", None) == module.__name__]
+    assert any(getattr(obj, "__name__", "") == "evolve_stack"
+               for obj in objects)
+    for obj in objects:
+        if dataclasses.is_dataclass(obj):
+            names = [f.name for f in dataclasses.fields(obj)]
+        elif inspect.isfunction(obj):
+            names = list(inspect.signature(obj).parameters)
+        else:
+            continue
+        assert "tol" not in names, obj.__qualname__
+    for record in (device.TransferMatrix, cli.SweepConfig):
+        assert "tol" not in [f.name for f in dataclasses.fields(record)]
 
 
 # ---------------------------------------------------------------------------
