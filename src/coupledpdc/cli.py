@@ -45,7 +45,7 @@ import os
 import sys
 from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -368,6 +368,13 @@ def _describe(columns: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 # argument handling
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage error is one line on stderr."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="use a canonical parameter set")
@@ -391,49 +398,23 @@ def _cascaded_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r2", type=float, help="second converter squeezing")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coupledpdc",
-        description="Coupled-downconverter coherence simulations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _oracle_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--points", default="0.5,1.0,1.5,2.0",
+                   help="comma-separated interaction lengths")
+    p.add_argument("--nmax", type=int, default=4,
+                   help="per-mode photon-number cutoff")
+    p.add_argument("--tolerance", type=float, default=1e-3,
+                   help="largest allowed deviation")
 
-    p_len = sub.add_parser(
-        "sweep-length",
-        help="sweep the interaction length of the continuous device")
-    _continuous_args(p_len)
-    _add_common(p_len)
 
-    p_psi = sub.add_parser(
-        "sweep-psi",
-        help="sweep the idler alignment angle of the cascaded device")
-    _cascaded_args(p_psi)
-    _add_common(p_psi)
-
-    p_oracle = sub.add_parser(
-        "oracle-check",
-        help="cross-check transfer-matrix results against the truncated "
-             "number-basis evolution")
-    _continuous_args(p_oracle)
-    p_oracle.add_argument("--preset", choices=sorted(PRESETS))
-    p_oracle.add_argument("--points", default="0.5,1.0,1.5,2.0",
-                          help="comma-separated interaction lengths")
-    p_oracle.add_argument("--nmax", type=int, default=4,
-                          help="per-mode photon-number cutoff")
-    p_oracle.add_argument("--tolerance", type=float, default=1e-3,
-                          help="largest allowed deviation")
-
-    p_dec = sub.add_parser(
-        "decompose", help="single-point extraction dump")
-    _continuous_args(p_dec)
-    _cascaded_args(p_dec)
-    p_dec.add_argument("--length", type=float,
-                       help="interaction length (continuous device)")
-    p_dec.add_argument("--psi", type=float,
-                       help="alignment angle (cascaded device)")
-    p_dec.add_argument("--nmax", type=int, default=0,
-                       help="if > 0, also run the number-basis cross-check")
-    return parser
+def _decompose_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=float,
+                   help="interaction length (continuous device)")
+    p.add_argument("--psi", type=float,
+                   help="alignment angle (cascaded device)")
+    p.add_argument("--nmax", type=int, default=0,
+                   help="if > 0, also run the number-basis cross-check")
 
 
 _CONTINUOUS = ("gamma1", "gamma2", "kappa")
@@ -503,7 +484,7 @@ def _cmd_sweep(args, kind: str) -> int:
 
 
 def _parse_columns(args, known: Sequence[str]) -> Optional[Sequence[str]]:
-    if not getattr(args, "columns", None):
+    if args.columns is None:
         return None
     wanted = [c.strip() for c in args.columns.split(",") if c.strip()]
     unknown = sorted(set(wanted) - set(known))
@@ -727,23 +708,60 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+#: Each command's help line, the functions that add its arguments (in
+#: order) and its handler
+COMMANDS = {
+    "sweep-length": (
+        "sweep the interaction length of the continuous device",
+        (_continuous_args, _add_common), lambda a: _cmd_sweep(a, "length")),
+    "sweep-psi": (
+        "sweep the idler alignment angle of the cascaded device",
+        (_cascaded_args, _add_common), lambda a: _cmd_sweep(a, "psi")),
+    "oracle-check": (
+        "cross-check transfer-matrix results against the truncated "
+        "number-basis evolution",
+        (_continuous_args, _oracle_args), _cmd_oracle_check),
+    "decompose": ("single-point extraction dump",
+                  (_continuous_args, _cascaded_args, _decompose_args),
+                  _cmd_decompose),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all four commands, for the top-level help."""
+    parser = _Parser(prog="coupledpdc",
+                     description="Coupled-downconverter coherence simulations")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, adders, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for add in adders:
+            add(p)
+    return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, but where ``argv[0]`` names a
+    command only that command's parser is built, at a fifth of the cost."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = _Parser(prog=f"coupledpdc {argv[0]}")
+    for add in COMMANDS[argv[0]][1]:
+        add(parser)
+    args = parser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage problems; fold into our code
         return EXIT_USAGE if exc.code else EXIT_OK
-    handlers: dict[str, Callable] = {
-        "sweep-length": lambda a: _cmd_sweep(a, "length"),
-        "sweep-psi": lambda a: _cmd_sweep(a, "psi"),
-        "oracle-check": _cmd_oracle_check,
-        "decompose": _cmd_decompose,
-    }
     try:
         # stderr carries the program's own lines only, no numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            code = handlers[args.command](args)
+            code = COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coupledpdc import fock
+from coupledpdc import cli, fock
 from coupledpdc.cli import (
     EXIT_LEAKAGE,
     EXIT_OK,
@@ -25,6 +26,7 @@ from coupledpdc.cli import (
     MAX_STEPS,
     PSI_COLUMNS,
     SweepConfig,
+    build_parser,
     main,
 )
 from coupledpdc.device import ContinuousDevice
@@ -137,6 +139,18 @@ def test_usage_errors():
                    "--columns", ",") == EXIT_USAGE
     # unknown subcommand (argparse usage failure)
     assert run_cli("frobnicate") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-length", "--preset", "fig2", "--steps", "2"],
+    ["sweep-psi", "--preset", "fig7", "--steps", "2"]])
+@pytest.mark.parametrize("columns", ["", ","])
+def test_a_column_list_that_names_no_column_is_refused(argv, columns, capsys):
+    assert run_cli(*argv, "--columns", columns) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid sweep configuration: --columns names "
+                            "no column\n")
 
 
 def test_unwritable_out_is_a_usage_error_before_any_point(tmp_path, capsys,
@@ -638,9 +652,9 @@ FINITE = ("0", "-0", "5e-324", "-5e-324", "1e-300", "0.1", "0.3", "3",
           "-1", "1e300", "-1e300", "1e308")
 FLOATS = FINITE + ("inf", "-inf", "nan")
 STEPS = ("2", "3", "7")
-BAD_STEPS = ("-1", "0", "1", str(MAX_STEPS + 1), "100000000000")
+BAD_STEPS = ("-1", "0", "1", str(MAX_STEPS + 1), "100000000000", "abc")
 # 114 is the first cutoff above fock.MAX_STATES
-NMAX = ("-1", "0", "1", "2", "3", "114")
+NMAX = ("-1", "0", "1", "2", "3", "114", "x")
 TOLERANCES = ("0", "-0", "5e-324", "1e-3", "-1e-3", "1e300", "inf", "nan")
 
 
@@ -717,7 +731,7 @@ def _check_sweep(argv, columns):
             assert cells.get("status", "ok") != ""
 
 
-SWEEP_COLUMNS = ("status", "gamma,status", "n_s1", ",", "L,psi")
+SWEEP_COLUMNS = ("status", "gamma,status", "n_s1", ",", "", "L,psi")
 
 
 def _sweeps(command, preset, device):
@@ -735,19 +749,60 @@ def _sweeps(command, preset, device):
                           STEPS + BAD_STEPS))
 
 
+#: Each contract property's explicit examples: edges the strategies seldom
+#: draw, and tokens that argparse itself refuses
+EXAMPLES = {
+    "sweep-length": [
+        ["sweep-length", "--preset=fig2", f"--steps={MAX_STEPS + 1}"],
+        ["sweep-length", "--preset=fig2", "--steps=7", "--columns=,"],
+        ["sweep-length", "--preset=fig2", "--steps=7", "--columns="],
+        ["sweep-length", "--gamma1=1", "--gamma2=1", "--kappa=0.5",
+         "--from=0", "--to=1e300", "--steps=7"],
+        ["sweep-length", "--preset=fig2", "--steps=abc"],
+        ["sweep-length", "--preset=fig2", "--steps=7", "--gamma1="],
+    ],
+    "sweep-psi": [
+        ["sweep-psi", "--r1=800", "--r2=0.1", "--steps=3"],
+        ["sweep-psi", "--preset=fig7", "--steps=3", "stray"],
+    ],
+    "oracle-check": [
+        ["oracle-check", "--gamma1=0.1", "--gamma2=0.3", "--kappa=1e308",
+         "--points=0", "--nmax=1"],
+        ["oracle-check", "--gamma1=0.1", "--gamma2=0.3", "--kappa=1.7e308",
+         "--points=0", "--nmax=1"],
+        ["oracle-check", "--preset=fig2", "--nmax=4", "--points=1e308"],
+        ["oracle-check", "--preset=fig2", "--nmax=1", "--tolerance=nan"],
+        ["oracle-check", "--preset=fig2", "--nmax=x"],
+        ["oracle-check", "--preset=fig2", "--bogus=1"],
+    ],
+    "decompose": [
+        ["decompose", "--gamma1=0.5", "--gamma2=-0", "--kappa=2e154",
+         "--length=1e308"],
+        ["decompose", "--r1=800", "--r2=0.1", "--psi=0.5"],
+        ["decompose", "--gamma1=", "--length=1"],
+    ],
+}
+
+
+def _examples(command):
+    """Run a property on ``command``'s explicit examples too."""
+    def decorate(test):
+        for argv in EXAMPLES[command]:
+            test = example(argv)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_sweeps("sweep-length", "fig2", ("gamma1", "gamma2", "kappa")))
-@example(["sweep-length", "--preset=fig2", f"--steps={MAX_STEPS + 1}"])
-@example(["sweep-length", "--preset=fig2", "--steps=7", "--columns=,"])
-@example(["sweep-length", "--gamma1=1", "--gamma2=1", "--kappa=0.5",
-          "--from=0", "--to=1e300", "--steps=7"])
+@_examples("sweep-length")
 def test_sweep_length_keeps_the_cli_contract(argv):
     _check_sweep(argv, LENGTH_COLUMNS)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_sweeps("sweep-psi", "fig7", ("r1", "r2")))
-@example(["sweep-psi", "--r1=800", "--r2=0.1", "--steps=3"])
+@_examples("sweep-psi")
 def test_sweep_psi_keeps_the_cli_contract(argv):
     _check_sweep(argv, PSI_COLUMNS)
 
@@ -777,12 +832,7 @@ SHORT = ("0", "-0", "5e-324", "1e-300", "0.1", "0.3", "3")
               ("x",)]]),
           _option("nmax", NMAX), _option("tolerance", TOLERANCES)),
     st.sampled_from(ORACLE_EDGES)))
-@example(["oracle-check", "--gamma1=0.1", "--gamma2=0.3", "--kappa=1e308",
-          "--points=0", "--nmax=1"])
-@example(["oracle-check", "--gamma1=0.1", "--gamma2=0.3", "--kappa=1.7e308",
-          "--points=0", "--nmax=1"])
-@example(["oracle-check", "--preset=fig2", "--nmax=4", "--points=1e308"])
-@example(["oracle-check", "--preset=fig2", "--nmax=1", "--tolerance=nan"])
+@_examples("oracle-check")
 def test_oracle_check_keeps_the_cli_contract(argv):
     code, out, err = _run(argv)
     if argv in ORACLE_EDGES:
@@ -806,9 +856,7 @@ def test_oracle_check_keeps_the_cli_contract(argv):
     _argv("decompose", *(_option(name, FLOATS) for name in
                          ("r1", "r2", "psi")),
           _option("nmax", NMAX))))
-@example(["decompose", "--gamma1=0.5", "--gamma2=-0", "--kappa=2e154",
-          "--length=1e308"])
-@example(["decompose", "--r1=800", "--r2=0.1", "--psi=0.5"])
+@_examples("decompose")
 def test_decompose_keeps_the_cli_contract(argv):
     code, out, err = _run(argv)
     assert code != EXIT_TOLERANCE
@@ -817,3 +865,82 @@ def test_decompose_keeps_the_cli_contract(argv):
         assert out.startswith("device=")
     if code == EXIT_LEAKAGE:
         assert "boundary population" in err
+
+
+NO_COMMAND = ([], ["frobnicate"], ["--bogus=1"])
+
+
+@pytest.mark.parametrize("argv", NO_COMMAND)
+def test_an_argv_without_a_command_is_a_one_line_usage_error(argv):
+    assert _run(argv)[0] == EXIT_USAGE
+
+
+# --- one command, one parser ----------------------------------------------
+# main builds only the named command's parser; build_parser builds all
+# four.  Both must read every argv alike: the same help bytes, the same
+# namespace, the same exit.
+
+VALID = (
+    ["sweep-length", "--preset", "fig2", "--steps", "3", "--out", "x.csv"],
+    ["sweep-length", "--describe-columns"],
+    ["sweep-psi", "--r1", "0.1", "--r2=0.2", "--from", "0", "--to", "1",
+     "--steps", "2", "--columns", "psi,gamma"],
+    ["oracle-check"],
+    ["oracle-check", "--preset", "fig2", "--points", "0.5", "--nmax", "2",
+     "--tolerance", "1e-2"],
+    ["decompose", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
+     "--length", "1"],
+    ["decompose", "--r1", "0.1", "--r2", "0.1", "--psi", "0.5", "--nmax=0"],
+)
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in
+                                            cli.COMMANDS)])
+def test_help_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == EXIT_OK
+    via_main = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == via_main
+    assert via_main.out.startswith("usage: coupledpdc")
+
+
+@pytest.mark.parametrize("argv", [
+    *VALID, *(argv for examples in EXAMPLES.values() for argv in examples),
+    *NO_COMMAND, ["-h", "sweep-psi"]])
+def test_main_parses_as_the_full_parser(argv, capsys):
+    def outcome(parse):
+        """The namespace, as text so that a NaN equals itself, or the exit
+        code."""
+        try:
+            return repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            return exc.code
+
+    assert outcome(cli._parse_args) == outcome(build_parser().parse_args)
+
+
+@pytest.mark.parametrize("argv, arguments", [
+    (["sweep-length", "--describe-columns"], 11),
+    (["sweep-psi", "--describe-columns"], 10),
+    (["oracle-check", "--preset=fig2", "--nmax=4", "--points=0.5"], 8),
+    (["decompose", "--r1=0.1", "--r2=0.1", "--psi=0.5"], 9)])
+def test_a_command_builds_only_its_own_parser(argv, arguments, capsys,
+                                              monkeypatch):
+    # counted, not timed: one parser, the command's arguments and -h
+    counts = {"__init__": 0, "add_argument": 0}
+
+    def counting(name):
+        method = getattr(argparse.ArgumentParser, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, name, counted)
+
+    counting("__init__")
+    counting("add_argument")
+    assert main(argv) == EXIT_OK
+    assert counts == {"__init__": 1, "add_argument": arguments}
