@@ -28,11 +28,11 @@ the first failed check of each stage.  The block size does not change
 any result: each row is bit-identical to the same point computed on its
 own through the single-point functions, which are batches of one.
 
-The output is assembled by column.  Each block appends its cells to one
-list per column, the status cells built only for the rows where a check
-failed, and :func:`render_csv` joins the lists line by line.  A sweep
-returns them as :class:`Rows`, which library callers read one row
-(a ``{column: cell}`` dict) at a time.
+The output is assembled by column, a block at a time: one list of cells
+per column, the status cells built only for the rows where a check
+failed.  The CLI writes a block's lines before the next block is
+computed; a library sweep extends a :class:`Rows` from the same blocks,
+which callers read one row (a ``{column: cell}`` dict) at a time.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ PRESETS = {
                  start=0.0, stop=math.pi / 2, steps=100),
 }
 
-#: Most grid points of one sweep.  A fig2 length sweep holds 1.26 kB of
-#: cells per row and peaks at 2.3 kB per row while its CSV is rendered
-#: (tracemalloc, 4,096 steps), so the largest sweep takes about 2.3 GB.
+#: Most grid points of one sweep.  Streamed by block, a fig2 length sweep
+#: of this many steps takes 28 s and peaks at 42 MB of resident memory
+#: (2 virtual CPUs); its CSV is about 335 MB.
 MAX_STEPS = 1_000_000
 
 
@@ -212,9 +212,9 @@ def _tag(exc: PdcModelError) -> str:
     return _STATUS_TAGS.get(type(exc), "error")
 
 
-#: Grid points per pass of the sweep engine.  Besides its output rows a
-#: sweep holds only one block's stacks (a few hundred kilobytes), however
-#: many steps it has.
+#: Grid points per pass of the sweep engine.  The CLI holds one block's
+#: stacks and cells, a tracemalloc peak of about 1.1 MB on fig2, however
+#: many steps a sweep has; a library sweep also holds its output cells.
 BLOCK = 512
 
 
@@ -316,25 +316,33 @@ class Rows(abc.Sequence):
         return {c: self.cells[c][index] for c in self.columns}
 
 
-def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> Rows:
-    """The CSV cells of every grid point, in grid order.
+def _sweep_blocks(cfg: SweepConfig, columns: Sequence[str], block):
+    """Each block's CSV cells, a ``{column: cells}`` dict, in grid order.
 
     The grid goes through ``block`` :data:`BLOCK` points at a time.  No
     point aborts the sweep: a failure leaves the affected columns empty
     and the status column carries a tag (``device:`` when the transfer
-    matrix or its occupations already fail).
+    matrix or its occupations already fail).  A block is dropped before
+    the next one is computed, so a consumer that drops it too holds one.
     """
     grid = cfg.grid()
-    rows = Rows(columns, {c: [] for c in columns})
-    # overflow far above threshold is caught and tagged, not warned about
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, len(grid), BLOCK):
-            values = grid[start:start + BLOCK]
+    for start in range(0, len(grid), BLOCK):
+        values = grid[start:start + BLOCK]
+        # overflow far above threshold is caught and tagged, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cells, device, stages = block(cfg.device, values)
-            cells[columns[0]] = _column(values)
-            cells["status"] = _status(device, stages)
-            for c in columns:
-                rows.cells[c].extend(cells[c])
+        cells[columns[0]] = _column(values)
+        cells["status"] = _status(device, stages)
+        yield cells
+        del cells, device, stages
+
+
+def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> Rows:
+    """The cells of every grid point (see :func:`_sweep_blocks`)."""
+    rows = Rows(columns, {c: [] for c in columns})
+    for cells in _sweep_blocks(cfg, columns, block):
+        for c in columns:
+            rows.cells[c].extend(cells[c])
     return rows
 
 
@@ -351,13 +359,17 @@ def sweep_psi_rows(cfg: SweepConfig) -> Rows:
     return _sweep_rows(cfg, PSI_COLUMNS, _psi_block)
 
 
+def _csv_lines(names: Sequence[str], cells: Dict[str, List[str]]) -> str:
+    """One LF-ended CSV line per row of the ``names`` columns of ``cells``."""
+    return "".join([line + "\n" for line in
+                    map(",".join, zip(*(cells[c] for c in names)))])
+
+
 def render_csv(rows: Rows, selected: Optional[Sequence[str]] = None) -> str:
     """CSV text of ``rows``: the header, then one line per row, of the
     ``selected`` columns (all by default) in the sweep's column order."""
     names = [c for c in rows.columns if selected is None or c in selected]
-    lines = [",".join(names)]
-    lines.extend(map(",".join, zip(*(rows.cells[c] for c in names))))
-    return "\n".join(lines) + "\n"
+    return ",".join(names) + "\n" + _csv_lines(names, rows.cells)
 
 
 def _describe(columns: Sequence[str]) -> str:
@@ -477,9 +489,13 @@ def _cmd_sweep(args, kind: str) -> int:
     except OSError as exc:
         print(f"cannot write --out {cfg.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    names = [c for c in columns if cfg.columns is None or c in cfg.columns]
+    lines = map(lambda cells: _csv_lines(names, cells), _sweep_blocks(
+        cfg, columns, _length_block if kind == "length" else _psi_block))
     with out as fh:
-        rows = (sweep_length_rows if kind == "length" else sweep_psi_rows)(cfg)
-        fh.write(render_csv(rows, cfg.columns))
+        # the header goes with the first block: one write for one block
+        fh.write(",".join(names) + "\n" + next(lines))
+        fh.writelines(lines)
     return EXIT_OK
 
 

@@ -133,7 +133,8 @@ class Regime(enum.Enum):
 
 
 def _symplectic_residuals(m: np.ndarray) -> np.ndarray:
-    gap = m @ ETA @ np.conj(m).swapaxes(-1, -2) - ETA
+    # m @ ETA, exactly: the sign of m's last two columns flipped
+    gap = (m * ETA.diagonal()) @ np.conj(m).swapaxes(-1, -2) - ETA
     return np.abs(gap).max(axis=(-2, -1))
 
 

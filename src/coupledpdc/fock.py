@@ -275,23 +275,19 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis
     strengths gamma1/gamma2, and idler exchange with strength kappa; each
     listed with its Hermitian conjugate, so the matrix is symmetric by
     construction (the cutoff drops both directions of a boundary-crossing
-    transition).  Each term is one masked array operation over all source
-    states; its target key is the source key plus the strides of the modes
-    it steps, and every target inside the cutoff is in the sector.  A term
-    reaches a row at most once, so term ``t`` fills column ``t`` of a
-    ``(size, 6)`` table.  Each term flips the parity of ``n_s1 + n_i2``,
+    transition).  All six terms are masked in one pass over the source
+    states; a term's target key is the source key plus the strides of the
+    modes it steps, and every target inside the cutoff is in the sector.
+    A term reaches a row at most once, so term ``t`` fills column ``t`` of
+    a ``(size, 6)`` table.  Each term flips the parity of ``n_s1 + n_i2``,
     so with the even half's rows first and each column numbered within
     its half, the table's first rows hold ``B^T`` and the rest ``B``;
     their entries, row by row, are the CSR arrays of the two blocks.
     """
-    terms = (
-        (dev.gamma1, (0, +1), (1, +1)),
-        (dev.gamma1, (0, -1), (1, -1)),
-        (dev.gamma2, (2, +1), (3, +1)),
-        (dev.gamma2, (2, -1), (3, -1)),
-        (dev.kappa, (1, -1), (3, +1)),
-        (dev.kappa, (1, +1), (3, -1)),
-    )
+    coef = np.repeat([dev.gamma1, dev.gamma2, dev.kappa], 2)
+    # each term's two modes, and which of them it raises
+    modes = np.array([[0, 1], [0, 1], [2, 3], [2, 3], [1, 3], [1, 3]])
+    up = np.array([[1, 1], [0, 0], [1, 1], [0, 0], [0, 1], [1, 0]], np.uint8)
     odd = (basis.occupations[:, 0] + basis.occupations[:, 3]) % 2 == 1
     halves = np.flatnonzero(~odd), np.flatnonzero(odd)
     split = len(halves[0])
@@ -301,20 +297,22 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis
         local[half] = np.arange(len(half))
         half.flags.writeable = False
     table_row = local + split * odd
-    cols = np.zeros((basis.size, len(terms)), dtype=np.int32)
-    vals = np.zeros((basis.size, len(terms)))
-    for t, (coef, *steps) in enumerate(terms):
-        keep = np.full(basis.size, coef != 0.0)
-        amp = np.full(basis.size, coef)
-        for mode, step in steps:
-            n = basis.occupations[:, mode]
-            keep &= (n < basis.n_max) if step > 0 else (n > 0)
-            amp = amp * np.sqrt(n + (step > 0))
-        offset = sum(step * basis.strides[mode] for mode, step in steps)
-        rows = table_row[np.searchsorted(basis.keys,
-                                          basis.keys[keep] + offset)]
-        cols[rows, t] = local[keep]
-        vals[rows, t] = amp[keep]
+    # (6, 2, size) occupations, plus 1 where raised (bytes: n_max <= 113)
+    n = basis.occupations.T.astype(np.uint8).take(modes, 0) + up[..., None]
+    keep = ((n != np.where(up, basis.n_max + 1, 0)[..., None]).all(axis=1)
+            & (coef != 0.0)[:, None])                  # (6, size)
+    root = np.sqrt(np.arange(basis.n_max + 2.0))
+    amp = coef[:, None] * root.take(n[:, 0]) * root.take(n[:, 1])
+    offset = np.where(up, basis.strides[modes], -basis.strides[modes]).sum(1)
+    # the masks select term-major, so each term's queries ascend
+    term = np.repeat(np.arange(6), np.count_nonzero(keep, axis=1))
+    target = np.searchsorted(basis.keys, (basis.keys + offset[:, None])[keep])
+    slot = 6 * table_row[target] + term
+    cols = np.zeros(basis.size * 6, dtype=np.int32)
+    vals = np.zeros(basis.size * 6)
+    cols[slot] = np.broadcast_to(local, keep.shape)[keep]
+    vals[slot] = amp[keep]
+    cols, vals = cols.reshape(-1, 6), vals.reshape(-1, 6)
     filled = vals != 0.0
     indptr = np.zeros(basis.size + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(filled, axis=1), out=indptr[1:])

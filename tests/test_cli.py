@@ -157,11 +157,13 @@ def test_unwritable_out_is_a_usage_error_before_any_point(tmp_path, capsys,
                                                           monkeypatch):
     from coupledpdc import cli
 
-    def no_sweep(cfg):
+    def no_sweep(*args):
         raise AssertionError("a grid point was computed")
 
-    monkeypatch.setattr(cli, "sweep_length_rows", no_sweep)
-    monkeypatch.setattr(cli, "sweep_psi_rows", no_sweep)
+    # the library sweeps and the stacks the CLI's stream computes
+    for name in ("sweep_length_rows", "sweep_psi_rows", "transfer_stack",
+                 "cascaded_stack"):
+        monkeypatch.setattr(cli, name, no_sweep)
     for out in (tmp_path / "missing" / "x.csv", tmp_path):
         assert run_cli("sweep-length", "--preset", "fig2",
                        "--out", str(out)) == EXIT_USAGE
@@ -617,6 +619,28 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv):
         os.close(write)
     assert proc.returncode == 1
     assert proc.stderr == b""  # no traceback, nor any other line
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, code", [
+    (["sweep-length", "--preset", "fig2"], EXIT_USAGE),  # 4 blocks, 0.7 MB
+    (["sweep-psi", "--preset", "fig7"], EXIT_OK),        # 1 block, 14 kB
+])
+def test_a_reader_that_leaves_after_the_header_ends_a_longer_sweep(
+        argv, code, unbuffered):
+    # the sweep's first write after the reader is gone fails; a one-block
+    # sweep is one write, which the pipe takes whole before the reader goes
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "coupledpdc", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert header.startswith((b"L,", b"psi,")) and err == b""
 
 
 @pytest.mark.parametrize("length", ["1e308", "50000"])

@@ -126,6 +126,23 @@ def test_memory_beyond_the_rows_does_not_grow_with_steps():
     assert _transient_bytes(4 * BLOCK + 17) <= 1.2 * one_block + 64 * 1024
 
 
+def _cli_peak(steps: int, out) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep-length", "--preset", "fig2", "--steps",
+                         str(steps), "--out", str(out)]) == cli.EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_cli_holds_one_block_however_many_steps(tmp_path):
+    # each block is written as it completes, so eight cost what one does
+    one_block = _cli_peak(BLOCK, tmp_path / "sweep.csv")
+    assert _cli_peak(8 * BLOCK + 17, tmp_path / "sweep.csv") \
+        <= 1.2 * one_block + 64 * 1024
+
+
 def _sweep(steps: int = 6):
     return sweep_length_rows(SweepConfig(kind="length", device=FIG2,
                                          start=0.5, stop=3.0, steps=steps))
@@ -221,8 +238,13 @@ def _csv_of_main(argv, capsys):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-@pytest.mark.parametrize("preset, steps", [("fig2", 50), ("fig7", 100)])
-def test_rows_and_csv_are_two_views_of_one_engine(preset, steps, capsys):
+@pytest.mark.parametrize("preset, steps", [
+    ("fig2", 50), ("fig7", 100),
+    # three blocks, the last partial, so the stream has block seams
+    ("fig2", 2 * BLOCK + 17), ("fig7", 2 * BLOCK + 17),
+])
+def test_rows_and_csv_are_two_views_of_one_engine(preset, steps, capsys,
+                                                  tmp_path):
     p = PRESETS[preset]
     if p["kind"] == "length":
         device, rows_of, columns = FIG2, sweep_length_rows, LENGTH_COLUMNS
@@ -249,3 +271,12 @@ def test_rows_and_csv_are_two_views_of_one_engine(preset, steps, capsys):
     header, sub = _csv_of_main(argv + ["--columns", ",".join(picked)], capsys)
     assert header == [columns[0], columns[1]]
     assert sub == [line[:2] for line in cells]
+    # the stream, to stdout or to --out, writes what render_csv renders
+    out = tmp_path / "sweep.csv"
+    for selected in (None, picked):
+        chosen = [] if selected is None else ["--columns", ",".join(selected)]
+        text = cli.render_csv(rows, selected)
+        assert cli.main(argv + chosen) == cli.EXIT_OK
+        assert capsys.readouterr().out == text
+        assert cli.main(argv + chosen + ["--out", str(out)]) == cli.EXIT_OK
+        assert out.read_bytes() == text.encode()
