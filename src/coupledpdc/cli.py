@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -365,6 +366,22 @@ def _csv_lines(names: Sequence[str], cells: Dict[str, List[str]]) -> str:
                     map(",".join, zip(*(cells[c] for c in names)))])
 
 
+def _write(fh, texts: abc.Iterable[str]) -> None:
+    """``fh.writelines(texts)``.  Where ``fh`` is text over a raw file
+    (standard output under ``python -u``), one raw write may take part of
+    a text and the text layer drops the rest, so each text's bytes go in
+    a loop until every one is taken: a gone reader raises BrokenPipeError."""
+    raw = getattr(fh, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        fh.writelines(texts)
+        return
+    fh.flush()
+    for text in texts:
+        data = memoryview(text.encode(fh.encoding, fh.errors))
+        while data:
+            data = data[raw.write(data):]
+
+
 def render_csv(rows: Rows, selected: Optional[Sequence[str]] = None) -> str:
     """CSV text of ``rows``: the header, then one line per row, of the
     ``selected`` columns (all by default) in the sweep's column order."""
@@ -494,8 +511,8 @@ def _cmd_sweep(args, kind: str) -> int:
         cfg, columns, _length_block if kind == "length" else _psi_block))
     with out as fh:
         # the header goes with the first block: one write for one block
-        fh.write(",".join(names) + "\n" + next(lines))
-        fh.writelines(lines)
+        _write(fh, [",".join(names) + "\n" + next(lines)])
+        _write(fh, lines)
     return EXIT_OK
 
 

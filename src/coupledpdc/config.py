@@ -8,6 +8,8 @@ its module's ``TOL`` name when it runs.
 
 from dataclasses import dataclass
 
+__all__ = ["TOL", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

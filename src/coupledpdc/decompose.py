@@ -55,15 +55,11 @@ __all__ = [
     "FourConverterScheme",
     "InterferometerScheme",
     "ExtractionReport",
-    "SchemeStack",
     "GainBound",
     "extract_four_converter",
     "extract_interferometer",
-    "four_converter_stack",
-    "interferometer_stack",
     "four_converter_matrix",
     "interferometer_matrix",
-    "equivalence_residual",
     "gain_bound",
 ]
 
@@ -413,24 +409,6 @@ def interferometer_matrix(scheme: InterferometerScheme) -> TransferMatrix:
     forward = mixer_stage(-scheme.phi_s, -scheme.phi_i) \
         @ direct_stage(-scheme.g1, -scheme.g2)
     return TransferMatrix(forward)
-
-
-def equivalence_residual(tm: TransferMatrix, scheme: Scheme) -> float:
-    """Largest vacuum moment left after undoing ``scheme`` behind ``tm``.
-
-    Zero (to rounding) certifies that the scheme generates the same
-    vacuum output state as the device.
-    """
-    m = tm.matrix
-    if isinstance(scheme, FourConverterScheme):
-        undone = direct_stage(scheme.g1, scheme.g2) \
-            @ crossed_stage(scheme.g4, scheme.g5) @ m
-    elif isinstance(scheme, InterferometerScheme):
-        undone = direct_stage(scheme.g1, scheme.g2) \
-            @ mixer_stage(scheme.phi_s, scheme.phi_i) @ m
-    else:
-        raise TypeError(f"unsupported scheme type {type(scheme).__name__}")
-    return vacuum_moments(undone).max_abs()
 
 
 def gain_bound(tm: TransferMatrix, scheme: FourConverterScheme) -> GainBound:

@@ -44,7 +44,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ETA",
     "ContinuousDevice",
     "CascadedDevice",
     "TransferMatrix",
@@ -52,12 +51,7 @@ __all__ = [
     "build_hamiltonian",
     "transfer_matrix",
     "cascaded_transfer_matrix",
-    "transfer_stack",
-    "cascaded_stack",
-    "expm",
-    "stack_failures",
     "classify_regime",
-    "symplectic_residual",
 ]
 
 #: Bogoliubov metric for the (A_s1, A_s2, A_i1^+, A_i2^+) operator vector.
@@ -132,22 +126,6 @@ class Regime(enum.Enum):
     AT_THRESHOLD = "at-threshold"
 
 
-def _symplectic_residuals(m: np.ndarray) -> np.ndarray:
-    # m @ ETA, exactly: the sign of m's last two columns flipped
-    gap = (m * ETA.diagonal()) @ np.conj(m).swapaxes(-1, -2) - ETA
-    return np.abs(gap).max(axis=(-2, -1))
-
-
-def symplectic_residual(m: np.ndarray) -> float:
-    """Largest element-wise violation of ``M eta M^H = eta``."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFiniteMatrixError("matrix has non-finite entries")
-    return float(_symplectic_residuals(m[None])[0])
-
-
 def stack_failures(m: np.ndarray) -> np.ndarray:
     """First failure of each matrix of an ``(N, 4, 4)`` stack under the
     :class:`TransferMatrix` checks (see :mod:`coupledpdc.errors`)."""
@@ -155,7 +133,9 @@ def stack_failures(m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.abs(m).max(axis=(1, 2))
         allowed = TOL.symplectic * np.maximum(1.0, peak * peak)
-        resid = _symplectic_residuals(m)
+        # m @ ETA, exactly: the sign of m's last two columns flipped
+        gap = (m * ETA.diagonal()) @ np.conj(m).swapaxes(-1, -2) - ETA
+        resid = np.abs(gap).max(axis=(1, 2))
     ok = np.isfinite(resid) & (resid <= allowed)
     if not ok.all():
         flag(failed, ~np.isfinite(m).all(axis=(1, 2)),

@@ -12,6 +12,14 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "PdcModelError", "UndefinedCoherenceError", "NonRealCorrelationError",
+    "TanhDomainError", "ExtractionResidualError", "DegenerateGeometryError",
+    "ZeroSchemeError", "TruncationLeakageError", "NonFiniteMatrixError",
+    "SymplecticDriftError", "PairConservationError", "CoherenceBoundError",
+    "ParameterCapError",
+]
+
 
 class PdcModelError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -56,14 +56,8 @@ __all__ = [
     "FockBasis",
     "FockState",
     "FockObservables",
-    "CsrMatrix",
-    "ChiralGenerator",
     "build_generator",
-    "expm_multiply",
-    "evolve_stack",
     "evolve",
-    "moments_stack",
-    "mode_occupations",
     "fock_observables",
     "pair_component",
 ]
@@ -574,12 +568,6 @@ def moments_stack(states: Sequence[FockState]) -> MomentSet:
     return MomentSet(d=MappingProxyType({"s1s2": cross}),
                      b=MappingProxyType(dict(zip(_MODES, n.T))),
                      failed=no_failures(len(states)))
-
-
-def mode_occupations(state: FockState) -> Tuple[float, float, float, float]:
-    """Mean photon numbers ``(n_s1, n_i1, n_s2, n_i2)`` of ``state``."""
-    b = moments_stack([state]).b
-    return tuple(float(b[mode][0]) for mode in _MODES)
 
 
 def fock_observables(state: FockState) -> FockObservables:

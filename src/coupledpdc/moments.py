@@ -44,7 +44,6 @@ __all__ = [
     "CoherenceResult",
     "Intensities",
     "vacuum_moments",
-    "coherence_of",
     "signal_coherence",
     "intensities",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "WhichWayMeasurement",
     "pair_state",
     "geometry",
-    "geometry_stack",
     "ideal_measurement",
     "interferometer_coherence",
 ]

@@ -55,6 +55,13 @@ def mpmath_transfer_matrix(g1: float, g2: float, kappa: float,
                          for i in range(4)])
 
 
+def symplectic_residual(m: np.ndarray) -> float:
+    """Largest element-wise violation of ``M eta M^H = eta``, with the
+    metric ``eta = diag(1, 1, -1, -1)`` as a plain matrix product."""
+    eta = np.diag([1.0, 1.0, -1.0, -1.0])
+    return float(np.max(np.abs(m @ eta @ np.conj(m).T - eta)))
+
+
 def squeezer_matrix(g: float) -> np.ndarray:
     """Transfer matrix of a single two-mode squeezer on (s1, i1).
 

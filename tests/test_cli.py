@@ -625,11 +625,14 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv):
 @pytest.mark.parametrize("argv, code", [
     (["sweep-length", "--preset", "fig2"], EXIT_USAGE),  # 4 blocks, 0.7 MB
     (["sweep-psi", "--preset", "fig7"], EXIT_OK),        # 1 block, 14 kB
+    (["sweep-length", "--preset", "fig2", "--steps", "512"],
+     EXIT_USAGE),                                        # 1 block, 170 kB
 ])
 def test_a_reader_that_leaves_after_the_header_ends_a_longer_sweep(
         argv, code, unbuffered):
-    # the sweep's first write after the reader is gone fails; a one-block
-    # sweep is one write, which the pipe takes whole before the reader goes
+    # the sweep's first write after the reader is gone fails, also the
+    # rest of a block larger than the pipe, unbuffered too; a sweep the
+    # pipe takes whole before the reader goes ends 0
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -15,12 +15,16 @@ from coupledpdc.device import (
     build_hamiltonian,
     cascaded_transfer_matrix,
     classify_regime,
-    symplectic_residual,
     transfer_matrix,
 )
 from coupledpdc.moments import intensities
 
-from oracles import mpmath_transfer_matrix, squeezer_matrix, taylor_expm
+from oracles import (
+    mpmath_transfer_matrix,
+    squeezer_matrix,
+    symplectic_residual,
+    taylor_expm,
+)
 
 SEMIGROUP_TOL = 1e-9  # composition consistency of exp(iHL), relative
 EPS = 2.2e-16

@@ -23,7 +23,6 @@ from coupledpdc.fock import (
     evolve,
     evolve_stack,
     fock_observables,
-    mode_occupations,
     pair_component,
 )
 from coupledpdc.moments import (
@@ -263,7 +262,8 @@ def test_evolve_zero_length_is_vacuum(basis4):
 
 def test_evolve_single_squeezer_photon_number(basis4):
     state = evolve(ContinuousDevice(0.1, 0.0, 0.0, 1.0), basis4)
-    n_s1, n_i1, n_s2, n_i2 = mode_occupations(state)
+    b = fock.moments_stack([state]).b
+    n_s1, n_i1, n_s2, n_i2 = (b[mode][0] for mode in ("s1", "i1", "s2", "i2"))
     assert n_s1 == pytest.approx(math.sinh(0.1) ** 2, abs=1e-6)
     assert n_i1 == pytest.approx(n_s1, abs=1e-12)
     assert n_s2 == 0 and n_i2 == 0
@@ -486,8 +486,9 @@ def test_evolve_stack_rows_equal_single_lengths():
             assert state.leakage == alone.leakage
             # the block's row equals the single-state observables, field
             # by field, also where the coherence is undefined
-            assert mode_occupations(alone) == tuple(
-                ms.b[mode][i] for mode in ("s1", "i1", "s2", "i2"))
+            one = fock.moments_stack([alone]).b
+            for mode in ("s1", "i1", "s2", "i2"):
+                assert one[mode][0] == ms.b[mode][i]
             if undefined[i] is not None:
                 with pytest.raises(UndefinedCoherenceError):
                     fock_observables(alone)
@@ -561,7 +562,8 @@ def test_evolve_stack_records_leakage_per_length():
 @pytest.mark.parametrize("length", [0.5, 1.0, 2.0])
 def test_signal_cross_term_matches_loop_reference(basis4, length):
     state = evolve(ContinuousDevice(**FIG2, length=length), basis4)
-    n_s1, _, n_s2, _ = mode_occupations(state)
+    b = fock.moments_stack([state]).b
+    n_s1, n_s2 = b["s1"][0], b["s2"][0]
     value = -1j * loop_signal_cross(state.amplitudes, 4) / math.sqrt(
         n_s1 * n_s2)
     coherence = fock_observables(state).coherence

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -204,6 +206,26 @@ def test_no_function_or_record_takes_a_threshold_override():
         assert "tol" not in names, obj.__qualname__
     for record in (device.TransferMatrix, cli.SweepConfig):
         assert "tol" not in [f.name for f in dataclasses.fields(record)]
+
+
+def test_each_exported_name_is_listed_once_in_one_module():
+    # the package re-exports its modules' __all__: each name is declared
+    # in one list, and a star import brings in nothing else (np, Callable,
+    # flag)
+    import coupledpdc
+    lists = {}
+    for info in pkgutil.iter_modules(coupledpdc.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"coupledpdc.{info.name}")
+            lists[module] = getattr(module, "__all__", [])
+    for name in coupledpdc.__all__:
+        owners = [module for module, names in lists.items() if name in names]
+        assert len(owners) == 1, (name, owners)
+        assert lists[owners[0]].count(name) == 1, name
+        assert getattr(coupledpdc, name) is getattr(owners[0], name)
+    public = {name for name in vars(coupledpdc) if not name.startswith("_")}
+    submodules = {module.__name__.rpartition(".")[2] for module in lists}
+    assert public - submodules == set(coupledpdc.__all__)
 
 
 # ---------------------------------------------------------------------------
