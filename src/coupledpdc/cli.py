@@ -46,13 +46,11 @@ import os
 import sys
 from collections import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from . import decompose as dec
 from . import moments as mom
-from . import whichway as ww
 from .device import (
     CascadedDevice,
     ContinuousDevice,
@@ -80,17 +78,22 @@ from .errors import (
     ZeroSchemeError,
     first_of,
 )
-# evolve and fock_observables, the single-state routes, stay importable
-# here for the per-layer tracer of bench/spans.py
-from .fock import (
-    FockBasis,
-    build_generator,
-    check_lengths,
-    evolve,
-    evolve_stack,
-    fock_observables,
-    moments_stack,
-)
+
+# the sweeps import decompose and whichway, and the number-basis commands
+# fock, where they run, so that no command loads a route it does not take
+if TYPE_CHECKING:
+    from .decompose import SchemeStack
+    from .fock import FockBasis
+
+
+def __getattr__(name: str):
+    # the single-state number-basis routes, which no command calls; the
+    # per-layer tracer of bench/spans.py wraps them under these names
+    if name in ("evolve", "fock_observables"):
+        from . import fock
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -232,7 +235,7 @@ def _cells(values: np.ndarray, failed: np.ndarray) -> List[str]:
     return cells
 
 
-def _scheme_cells(prefix: str, scheme: dec.SchemeStack) -> Dict[str, List[str]]:
+def _scheme_cells(prefix: str, scheme: SchemeStack) -> Dict[str, List[str]]:
     cells = {f"{prefix}_{name.replace('_', '')}": _cells(values, scheme.failed)
              for name, values in scheme.params.items()}
     cells[f"{prefix}_residual"] = _cells(scheme.residual, scheme.failed)
@@ -243,6 +246,8 @@ def _length_block(dev: ContinuousDevice, lengths: np.ndarray):
     """Cells, device failures and (stage, failures) of one block of a
     length sweep; a failure of the moments is the device's, and an
     undefined coherence an empty cell with ``gamma_defined = 0``."""
+    from . import decompose as dec
+    from . import whichway as ww
     m = transfer_stack(dev, lengths)
     ms = mom.vacuum_moments(m)
     device = first_of(stack_failures(m), ms.failed)
@@ -270,6 +275,7 @@ def _psi_block(dev: CascadedDevice, psis: np.ndarray):
     """As :func:`_length_block` for a psi sweep, where a failure of the
     moments is the coherence's and the extraction's; the gamma column
     uses the aligned-idler sign convention (see COLUMN_DOCS["gamma"])."""
+    from . import decompose as dec
     m = cascaded_stack(dev, psis)
     device = stack_failures(m)
     ms = mom.vacuum_moments(m)
@@ -554,8 +560,8 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
                       generator, lengths: Sequence[float],
                       ) -> List[Union[OracleDeviation, Exception]]:
     """Compare ``dev``'s intensities and coherence on both routes at each
-    of ``lengths``, where ``generator`` is :func:`build_generator` of
-    ``dev`` on ``basis``.
+    of ``lengths``, where ``generator`` is
+    :func:`~coupledpdc.fock.build_generator` of ``dev`` on ``basis``.
 
     A length that fails carries its first failure instead of a deviation:
     a check of the transfer matrix or of its moments, then one of
@@ -564,14 +570,15 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
     then a coherence beyond the unit bound.  Each side runs once on the
     whole block, a transfer-matrix stack or a number-basis recurrence, and
     reads its coherence by :func:`~coupledpdc.moments.coherence_of`."""
+    from . import fock
     grid = np.array(lengths, dtype=float)
     m = transfer_stack(dev, grid)
     ms = mom.vacuum_moments(m)
     failed = first_of(stack_failures(m), ms.failed)
     coh, coh_failed = mom.coherence_of(ms, failed)
-    states, fock_failed = evolve_stack(generator, basis, grid)
+    states, fock_failed = fock.evolve_stack(generator, basis, grid)
     failed = first_of(failed, fock_failed)
-    fock_ms = moments_stack(states)
+    fock_ms = fock.moments_stack(states)
     fock_coh, fock_coh_failed = mom.coherence_of(fock_ms, fock_ms.failed)
     dintensity = np.max([np.abs(fock_ms.b[mode] - ms.b[mode])
                          for mode in ms.b], axis=0)
@@ -628,9 +635,10 @@ def _cmd_oracle_check(args) -> int:
     for length in lengths:
         ContinuousDevice(**merged_args, length=length)
 
-    basis = FockBasis.build(args.nmax)
-    generator = build_generator(probe, basis)
-    check_lengths(generator, lengths)
+    from . import fock
+    basis = fock.FockBasis.build(args.nmax)
+    generator = fock.build_generator(probe, basis)
+    fock.check_lengths(generator, lengths)
     worst_intensity = 0.0
     worst_gamma = 0.0
     worst_leak = 0.0
@@ -682,9 +690,10 @@ def _cmd_decompose(args) -> int:
         return EXIT_USAGE
     basis = generator = None
     if args.nmax > 0:
-        basis = FockBasis.build(args.nmax)
-        generator = build_generator(dev, basis)
-        check_lengths(generator, [dev.length])
+        from . import fock
+        basis = fock.FockBasis.build(args.nmax)
+        generator = fock.build_generator(dev, basis)
+        fock.check_lengths(generator, [dev.length])
     if continuous:
         print(f"device=continuous gamma1={_fmt(dev.gamma1)} "
               f"gamma2={_fmt(dev.gamma2)} kappa={_fmt(dev.kappa)} "
@@ -702,6 +711,8 @@ def _cmd_decompose(args) -> int:
               f"fragile={int(coh.fragile)}")
     except UndefinedCoherenceError:
         print("gamma=undefined")
+    from . import decompose as dec
+    from . import whichway as ww
     try:
         zou = dec.extract_four_converter(tm)
         s = zou.scheme

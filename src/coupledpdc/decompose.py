@@ -48,8 +48,8 @@ from .errors import (
     flag,
     raise_first,
 )
-from .linalg import atan2, atanh, cosh, sinh, square
-from .moments import MomentSet, vacuum_moments
+from .linalg import atan2, atanh, cosh, sinh
+from .moments import MomentSet, square, vacuum_moments
 
 __all__ = [
     "FourConverterScheme",

@@ -260,6 +260,13 @@ def _spectral_bound(to_odd: CsrMatrix, to_even: CsrMatrix) -> float:
     return float(np.ldexp(math.sqrt(ratio) * (1.0 + RADIUS_MARGIN), e))
 
 
+#: Source states per pass of :func:`build_generator` over the six terms.
+#: A pass's temporaries peak at about 350 bytes a state (1.4 MB a block,
+#: by tracemalloc), so a block stays in a core's cache, where one pass
+#: over the whole basis (from about ``n_max = 20``, 6,181 states) does not.
+BUILD_ROWS = 4096
+
+
 def build_generator(dev: ContinuousDevice, basis: FockBasis
                     ) -> ChiralGenerator:
     """Sparse real symmetric generator of the device in the number basis,
@@ -269,14 +276,15 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis
     strengths gamma1/gamma2, and idler exchange with strength kappa; each
     listed with its Hermitian conjugate, so the matrix is symmetric by
     construction (the cutoff drops both directions of a boundary-crossing
-    transition).  All six terms are masked in one pass over the source
-    states; a term's target key is the source key plus the strides of the
-    modes it steps, and every target inside the cutoff is in the sector.
-    A term reaches a row at most once, so term ``t`` fills column ``t`` of
-    a ``(size, 6)`` table.  Each term flips the parity of ``n_s1 + n_i2``,
-    so with the even half's rows first and each column numbered within
-    its half, the table's first rows hold ``B^T`` and the rest ``B``;
-    their entries, row by row, are the CSR arrays of the two blocks.
+    transition).  All six terms are masked in one pass over a block of
+    :data:`BUILD_ROWS` source states; a term's target key is the source
+    key plus the strides of the modes it steps, and every target inside
+    the cutoff is in the sector.  A term reaches a row at most once, so
+    term ``t`` fills column ``t`` of a ``(size, 6)`` table.  Each term
+    flips the parity of ``n_s1 + n_i2``, so with the even half's rows
+    first and each column numbered within its half, the table's first rows
+    hold ``B^T`` and the rest ``B``; their entries, row by row, are the
+    CSR arrays of the two blocks.
     """
     coef = np.repeat([dev.gamma1, dev.gamma2, dev.kappa], 2)
     # each term's two modes, and which of them it raises
@@ -291,21 +299,27 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis
         local[half] = np.arange(len(half))
         half.flags.writeable = False
     table_row = local + split * odd
-    # (6, 2, size) occupations, plus 1 where raised (bytes: n_max <= 113)
-    n = basis.occupations.T.astype(np.uint8).take(modes, 0) + up[..., None]
-    keep = ((n != np.where(up, basis.n_max + 1, 0)[..., None]).all(axis=1)
-            & (coef != 0.0)[:, None])                  # (6, size)
+    # occupations as bytes (n_max <= 113); a term's raised modes leave the
+    # cutoff at n_max + 1, its lowered ones at 0
+    occupations = basis.occupations.T.astype(np.uint8)
+    edge = np.where(up, basis.n_max + 1, 0)[..., None]
     root = np.sqrt(np.arange(basis.n_max + 2.0))
-    amp = coef[:, None] * root.take(n[:, 0]) * root.take(n[:, 1])
     offset = np.where(up, basis.strides[modes], -basis.strides[modes]).sum(1)
-    # the masks select term-major, so each term's queries ascend
-    term = np.repeat(np.arange(6), np.count_nonzero(keep, axis=1))
-    target = np.searchsorted(basis.keys, (basis.keys + offset[:, None])[keep])
-    slot = 6 * table_row[target] + term
     cols = np.zeros(basis.size * 6, dtype=np.int32)
     vals = np.zeros(basis.size * 6)
-    cols[slot] = np.broadcast_to(local, keep.shape)[keep]
-    vals[slot] = amp[keep]
+    for start in range(0, basis.size, BUILD_ROWS):
+        rows = slice(start, start + BUILD_ROWS)
+        # (6, 2, rows) occupations, plus 1 where raised
+        n = occupations[:, rows].take(modes, 0) + up[..., None]
+        keep = (n != edge).all(axis=1) & (coef != 0.0)[:, None]  # (6, rows)
+        amp = coef[:, None] * root.take(n[:, 0]) * root.take(n[:, 1])
+        # the masks select term-major, so each term's queries ascend
+        term = np.repeat(np.arange(6), np.count_nonzero(keep, axis=1))
+        target = np.searchsorted(basis.keys,
+                                 (basis.keys[rows] + offset[:, None])[keep])
+        slot = 6 * table_row[target] + term
+        cols[slot] = np.broadcast_to(local[rows], keep.shape)[keep]
+        vals[slot] = amp[keep]
     cols, vals = cols.reshape(-1, 6), vals.reshape(-1, 6)
     filled = vals != 0.0
     indptr = np.zeros(basis.size + 1, dtype=np.int32)

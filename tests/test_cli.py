@@ -69,7 +69,7 @@ def test_sweep_length_undefined_gamma_rows(tmp_path):
         assert row["n_s1"] != ""
 
 
-def test_sweep_determinism_across_runs_and_entry_points(tmp_path):
+def test_sweep_determinism_across_runs_and_entry_points(tmp_path, child_env):
     args = ["sweep-length", "--gamma1", "0.1", "--gamma2", "0.3",
             "--kappa", "3", "--from", "0.1", "--to", "4.0", "--steps", "40"]
     first = tmp_path / "a.csv"
@@ -80,7 +80,7 @@ def test_sweep_determinism_across_runs_and_entry_points(tmp_path):
     # a fresh interpreter must produce the same bytes
     proc = subprocess.run(
         [sys.executable, "-m", "coupledpdc.cli", *args[0:1], *args[1:]],
-        capture_output=True, check=True)
+        capture_output=True, check=True, env=child_env)
     assert proc.stdout == first.read_bytes()
 
 
@@ -205,10 +205,10 @@ def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):
     # failures must tag the row and empty the columns, never abort the
     # sweep; the failure is injected into the engine's interferometer
     # kernel, which records it per row instead of raising
-    import coupledpdc.cli as cli
+    from coupledpdc import decompose
     from coupledpdc.errors import TanhDomainError, flag
 
-    kernel = cli.dec.interferometer_stack
+    kernel = decompose.interferometer_stack
 
     def forced(m, ms, failed):
         ou = kernel(m, ms, failed)
@@ -216,7 +216,7 @@ def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):
              lambda i: TanhDomainError("forced for the test"))
         return ou
 
-    monkeypatch.setattr(cli.dec, "interferometer_stack", forced)
+    monkeypatch.setattr(decompose, "interferometer_stack", forced)
     out = tmp_path / "tagged.csv"
     assert run_cli("sweep-length", "--gamma1", "0.1", "--gamma2", "0.3",
                    "--kappa", "3", "--from", "0.5", "--to", "1.0",
@@ -435,16 +435,16 @@ def test_decompose_aligned_cascade(capsys):
     assert abs(float(fields["ou_g2"])) <= 1e-8
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(child_env):
     # scipy.optimize costs about 0.2 s of every start-up
     code = ("import sys, coupledpdc.cli; "
             "print('scipy.optimize' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse():
+def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse(child_env):
     # either would import scipy._lib._util, which touches every lazy
     # attribute of numpy: about 0.35 s of every start-up; a length of 0
     # and a device without couplings once took scipy.linalg's expm.
@@ -470,9 +470,36 @@ def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse():
             "                       '--gamma2', '0', '--kappa', '0',\n"
             "                       '--length', '1'])]\n"
             "print(codes, sorted(heavy & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0] []"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["sweep-length", "--preset", "fig2", "--steps", "50"], {"fock"}),
+    (["sweep-psi", "--preset", "fig7"], {"fock", "whichway"}),
+    (["oracle-check", "--preset", "fig2", "--nmax", "4"],
+     {"decompose", "whichway", "linalg"}),
+    (["decompose", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
+      "--length", "1"], {"fock"}),
+    (["-h"], {"fock"}),
+], ids=["sweep-length", "sweep-psi", "oracle-check", "decompose", "help"])
+def test_each_command_imports_only_the_modules_it_runs(argv, absent,
+                                                       child_env):
+    # a sweep never loads the number-basis oracle, whose import loads
+    # SciPy's compiled _sparsetools, and the oracle none of the extractions
+    code = ("import contextlib, io, sys\n"
+            "from coupledpdc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(code, *sorted(name for name in sys.modules\n"
+            "                    if name.startswith('coupledpdc.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=child_env,
+                          capture_output=True, text=True, check=True)
+    code, *loaded = proc.stdout.split()
+    assert code == str(EXIT_OK)
+    assert {"coupledpdc.cli", "coupledpdc.moments"} <= set(loaded)
+    assert not {f"coupledpdc.{name}" for name in absent} & set(loaded)
 
 
 def test_decompose_needs_exactly_one_device(capsys):
@@ -607,14 +634,14 @@ def test_a_sweep_missing_an_option_names_the_options(argv, message, capsys):
     ["sweep-psi", "--preset", "fig7"],
     ["oracle-check", "--preset", "fig2"],
 ])
-def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, child_env):
     # stdout is a pipe whose reader is gone before the program starts
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "coupledpdc", *argv],
                               stdout=write, stderr=subprocess.PIPE,
-                              timeout=120)
+                              env=child_env, timeout=120)
     finally:
         os.close(write)
     assert proc.returncode == 1
@@ -629,16 +656,16 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv):
      EXIT_USAGE),                                        # 1 block, 170 kB
 ])
 def test_a_reader_that_leaves_after_the_header_ends_a_longer_sweep(
-        argv, code, unbuffered):
+        argv, code, unbuffered, child_env):
     # the sweep's first write after the reader is gone fails, also the
     # rest of a block larger than the pipe, unbuffered too; a sweep the
     # pipe takes whole before the reader goes ends 0
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child_env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+        child_env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "coupledpdc", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=child_env)
     header = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()

@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 import textwrap
@@ -126,6 +125,26 @@ def test_generator_equals_loop_reference(n_max):
     g = sparse_generator(ContinuousDevice(**FIG2, length=1.0),
                          FockBasis.build(n_max))
     assert np.array_equal(g.toarray(), full[np.ix_(sector, sector)])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_generator_does_not_depend_on_the_build_block(rows, monkeypatch):
+    # blocks of source states fill disjoint slots of one table; a seam
+    # must neither drop nor move an entry
+    dev = ContinuousDevice(-0.7, 1.3, -2.0, 0.0)
+    basis = FockBasis.build(8)
+    whole = build_generator(dev, basis)
+    monkeypatch.setattr(fock, "BUILD_ROWS", rows)
+    blocked = build_generator(dev, basis)
+    for name in ("even", "odd"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+    for name in ("to_odd", "to_even"):
+        for field in ("indptr", "indices", "data"):
+            got = getattr(getattr(blocked, name), field)
+            want = getattr(getattr(whole, name), field)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (name, field)
+    assert blocked.radius == whole.radius
 
 
 def test_generator_zero_couplings():
@@ -329,7 +348,7 @@ def test_evolve_calls_expm_multiply_once_through_the_module_name(
     from coupledpdc import cli
     assert isinstance(FockBasis.__dict__["build"], classmethod)
     calls, builds = [], []
-    kernel, build = fock.expm_multiply, cli.build_generator
+    kernel, build = fock.expm_multiply, fock.build_generator
 
     def counting(*args):
         calls.append(args[2])
@@ -340,13 +359,15 @@ def test_evolve_calls_expm_multiply_once_through_the_module_name(
         return build(*args)
 
     monkeypatch.setattr(fock, "expm_multiply", counting)
-    monkeypatch.setattr(cli, "build_generator", counting_build)
+    monkeypatch.setattr(fock, "build_generator", counting_build)
     for length in (0.5, 1.0):
         evolve(ContinuousDevice(**FIG2, length=length), basis4)
     assert [list(lengths) for lengths in calls] == [[0.5], [1.0]]
+    assert len(builds) == 2
     # an oracle-check builds the generator once and runs the kernel once
     # per block of lengths
     calls.clear()
+    builds.clear()
     monkeypatch.setattr(cli, "ORACLE_BLOCK", 4)
     assert cli.main(["oracle-check", "--preset", "fig2", "--nmax", "3",
                      "--points", "0.1,0.2,0.3,0.4,0.5,0.6"]) == cli.EXIT_OK
@@ -356,7 +377,7 @@ def test_evolve_calls_expm_multiply_once_through_the_module_name(
     assert capsys.readouterr().out.count("L=") == 6
 
 
-def test_sparsetools_coexist_with_scipy_sparse_imported_later():
+def test_sparsetools_coexist_with_scipy_sparse_imported_later(child_env):
     # the package loads SciPy's compiled csr_matvec without importing
     # scipy or scipy.sparse; scipy.sparse imported afterwards must still
     # carry its _sparsetools attribute, with the same kernel
@@ -377,7 +398,7 @@ def test_sparsetools_coexist_with_scipy_sparse_imported_later():
                                                     np.empty(len(g.odd))))
         print("ok")
     """)
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
@@ -518,7 +539,7 @@ def test_evolve_stack_memory_stays_within_the_fold_buffer():
     assert peak <= 7_677_844 + fock.FOLD_BYTES
 
 
-def test_evolve_stack_amplitudes_do_not_depend_on_blas_threads():
+def test_evolve_stack_amplitudes_do_not_depend_on_blas_threads(child_env):
     # the folds are BLAS vector-matrix products; at nmax 20 (6,181
     # states, folds of 32 terms) OpenBLAS splits them over its threads
     code = textwrap.dedent("""
@@ -537,7 +558,7 @@ def test_evolve_stack_amplitudes_do_not_depend_on_blas_threads():
     """)
     outputs = []
     for threads in ("1", None):
-        env = {key: value for key, value in os.environ.items()
+        env = {key: value for key, value in child_env.items()
                if key != "OPENBLAS_NUM_THREADS"}
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads

@@ -3,6 +3,9 @@ import importlib
 import inspect
 import math
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from coupledpdc.device import (
     transfer_matrix,
 )
 from coupledpdc.errors import NonFiniteMatrixError, PdcModelError
-from coupledpdc.linalg import atan2, atanh, cosh, sinh, square
+from coupledpdc.linalg import atan2, atanh, cosh, sinh
+from coupledpdc.moments import square
 
 from oracles import mpmath_transfer_matrix, taylor_expm
 
@@ -226,6 +230,35 @@ def test_each_exported_name_is_listed_once_in_one_module():
     public = {name for name in vars(coupledpdc) if not name.startswith("_")}
     submodules = {module.__name__.rpartition(".")[2] for module in lists}
     assert public - submodules == set(coupledpdc.__all__)
+
+
+def test_the_package_imports_its_modules_on_first_use(child_env):
+    # `import coupledpdc` loads no module of the package; a star import
+    # binds the exports of all of them, and nothing else public
+    code = textwrap.dedent("""
+        import sys
+        import coupledpdc
+        print(sorted(m for m in sys.modules if m.startswith("coupledpdc.")))
+        namespace = {}
+        exec("from coupledpdc import *", namespace)
+        del namespace["__builtins__"]
+        names = coupledpdc.__all__
+        assert sorted(namespace) == sorted(names) and len(names) == 52
+        for name in names:
+            (owner,) = [module for key, module in list(sys.modules.items())
+                        if key.startswith("coupledpdc.")
+                        and name in getattr(module, "__all__", ())]
+            assert namespace[name] is getattr(owner, name), name
+        assert coupledpdc.evolve is coupledpdc.fock.evolve
+        print(sorted(name for name in vars(coupledpdc)
+                     if not name.startswith("_") and name not in names))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['config', 'decompose', 'device', 'errors', 'fock', "
+        "'linalg', 'moments', 'whichway']"]
 
 
 # ---------------------------------------------------------------------------
