@@ -14,9 +14,9 @@ at cutoff ``n`` instead of ``(n+1)^4``.
 
 Every term also flips the parity of ``n_s1 + n_i2``, so the generator is
 chiral: with the basis split into its even half (the vacuum's) and its
-odd half, ``H = [[0, B^T], [B, 0]]``, and it is stored as the two blocks
-``B`` and ``B^T`` (:class:`ChiralGenerator`).  It is real and does not
-depend on the length, so the exponential is applied by a Chebyshev
+odd half, ``H = [[0, B^T], [B, 0]]``, and it is stored as the one block
+``B`` (:class:`ChiralGenerator`).  It is real and does not depend on the
+length, so the exponential is applied by a Chebyshev
 expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984): one real
 three-term recurrence of half-size sparse matrix-vector products serves
 every length of a batch, and only the Bessel-function coefficients differ
@@ -24,11 +24,12 @@ between lengths (:func:`expm_multiply`, :func:`evolve_stack`); the states
 reduce to the transfer-matrix route's :class:`~coupledpdc.moments.MomentSet`
 (:func:`moments_stack`).  The series is sized by a Collatz-Wielandt upper
 bound on the spectral radius, taken once when the generator is built.
-Each product runs SciPy's compiled ``csr_matvec``, the kernel behind a
-``scipy.sparse`` product, which takes a row's columns in any order.  It is
-loaded from its compiled file, without importing ``scipy`` or
-``scipy.sparse``: the latter first imports ``scipy._lib._util``, which
-touches every lazy attribute of numpy and more than doubles start-up.
+Products with ``B`` and ``B^T`` run SciPy's compiled ``csr_matvec`` and
+``csc_matvec`` on ``B``'s arrays, the kernels of ``B @ x`` and ``B.T @
+x`` in ``scipy.sparse``.  They are loaded from their compiled file,
+without importing ``scipy`` or ``scipy.sparse``: the latter first
+imports ``scipy._lib._util``, which touches every lazy attribute of
+numpy and more than doubles start-up.
 
 Mode order inside a ket is ``(s1, i1, s2, i2)``: ``|1100>`` is one photon
 in signal 1 and one in idler 1.
@@ -145,31 +146,31 @@ class FockState:
     leakage: float
 
 
-def _load_csr_matvec():
-    """``csr_matvec`` of ``scipy.sparse._sparsetools``, loaded from its
-    compiled file without running ``scipy``'s or ``scipy.sparse``'s
-    ``__init__``, unless already imported.  CPython registers the module
-    in ``sys.modules`` as it loads it; it is taken out again, so that a
-    later ``import scipy.sparse`` loads its own and sets it as an
-    attribute.  ``ImportError`` names SciPy's version if the file is
-    missing."""
+def _load_matvecs():
+    """``csr_matvec`` and ``csc_matvec`` of ``scipy.sparse._sparsetools``,
+    loaded from its compiled file without running ``scipy``'s or
+    ``scipy.sparse``'s ``__init__``, unless already imported.  CPython
+    registers the module in ``sys.modules`` as it loads it; it is taken
+    out again, so that a later ``import scipy.sparse`` loads its own and
+    sets it as an attribute.  ``ImportError`` names SciPy's version if
+    the file is missing."""
     name = "scipy.sparse._sparsetools"
-    if name in sys.modules:
-        return sys.modules[name].csr_matvec
-    roots = importlib.util.find_spec("scipy").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(root, "sparse") for root in roots])
-    if spec is None:
-        from importlib.metadata import version
-        raise ImportError(f"{name} not found in SciPy {version('scipy')}",
-                          name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules.pop(name, None)
-    return module.csr_matvec
+    module = sys.modules.get(name)
+    if module is None:
+        roots = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(root, "sparse") for root in roots])
+        if spec is None:
+            from importlib.metadata import version
+            raise ImportError(f"{name} not found in SciPy {version('scipy')}",
+                              name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.pop(name, None)
+    return module.csr_matvec, module.csc_matvec
 
 
-_csr_matvec = _load_csr_matvec()
+_csr_matvec, _csc_matvec = _load_matvecs()
 
 
 @dataclass(frozen=True)
@@ -190,31 +191,32 @@ class CsrMatrix:
 
 @dataclass(frozen=True)
 class ChiralGenerator:
-    """The number-basis generator ``H`` as its two parity blocks.
+    """The number-basis generator ``H = [[0, B^T], [B, 0]]`` as ``B``.
 
     ``even`` and ``odd`` are the ascending basis rows of the two halves,
     ``n_s1 + n_i2`` even (the vacuum's, row 0) or odd.  ``to_odd`` is
     ``B``, the block from the even half to the odd half (rows index
-    ``odd``, columns ``even``), and ``to_even`` is ``B^T``; every entry of
-    ``H`` is in one of them.  ``radius`` bounds the spectral radius of
-    ``H`` from above (:func:`_spectral_bound`).
+    ``odd``, columns ``even``); products with ``B^T`` read its arrays
+    (:func:`_matvec`).  ``radius`` bounds the spectral radius of ``H``
+    from above (:func:`_spectral_bound`).
     """
 
     even: np.ndarray                   # (n_even,) basis rows
     odd: np.ndarray                    # (n_odd,) basis rows
     to_odd: CsrMatrix                  # (n_odd, n_even) block B
-    to_even: CsrMatrix                 # (n_even, n_odd) block B^T
     radius: float
 
 
 def _matvec(matrix: CsrMatrix, data: np.ndarray, vector: np.ndarray,
-            out: np.ndarray) -> np.ndarray:
-    """``out = A @ vector`` for the matrix ``A`` with the sparsity of
-    ``matrix`` and the entries ``data``, summed row by row in storage order
-    into zeros, as a ``scipy.sparse`` product sums."""
+            out: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``out = A @ vector``, or ``A^T @ vector`` if ``transpose``, for the
+    matrix ``A`` with the sparsity of ``matrix`` and the entries ``data``,
+    summed into zeros in ``A``'s storage order, as ``scipy.sparse`` sums
+    ``A @ vector`` and ``A.T @ vector``."""
     out.fill(0.0)
-    _csr_matvec(len(out), len(vector), matrix.indptr, matrix.indices, data,
-                vector, out)
+    kernel = _csc_matvec if transpose else _csr_matvec
+    kernel(len(out), len(vector), matrix.indptr, matrix.indices, data,
+           vector, out)
     return out
 
 
@@ -234,8 +236,9 @@ POWER_STEPS, POWER_SHIFT = 1, 2.0 ** -20
 RADIUS_MARGIN = 1e-12
 
 
-def _spectral_bound(to_odd: CsrMatrix, to_even: CsrMatrix) -> float:
-    """Upper bound on the spectral radius of ``H = [[0, B^T], [B, 0]]``.
+def _spectral_bound(block: CsrMatrix, columns: int) -> float:
+    """Upper bound on the spectral radius of ``H = [[0, B^T], [B, 0]]``
+    for the block ``B`` with ``columns`` columns.
 
     ``rho(H) <= rho(|H|)`` for any real entries, and ``rho(|H|)^2 =
     rho(|B|^T |B|) <= max_i (|B|^T |B| x)_i / x_i`` for every positive
@@ -244,70 +247,62 @@ def _spectral_bound(to_odd: CsrMatrix, to_even: CsrMatrix) -> float:
     ``2^-e`` with ``ldexp``, exactly, so that its square cannot overflow
     (``2^e`` itself overflows at ``e = 1024``).  Zero couplings give 0.
     """
-    e = math.frexp(np.abs(to_odd.data).max(initial=0.0))[1]
-    down = np.ldexp(np.abs(to_odd.data), -e)
-    up = np.ldexp(np.abs(to_even.data), -e)
-    mid = np.empty(len(to_odd.indptr) - 1)
+    e = math.frexp(np.abs(block.data).max(initial=0.0))[1]
+    scaled = np.ldexp(np.abs(block.data), -e)
+    mid = np.empty(len(block.indptr) - 1)
 
     def square(x: np.ndarray) -> np.ndarray:
-        return _matvec(to_even, up, _matvec(to_odd, down, x, mid),
-                       np.empty_like(x))
+        return _matvec(block, scaled, _matvec(block, scaled, x, mid),
+                       np.empty_like(x), transpose=True)
 
-    x = np.ones(len(to_even.indptr) - 1)
+    x = np.ones(columns)
     for _ in range(POWER_STEPS):
         x = square(x) + POWER_SHIFT * x
     ratio = float(np.max(square(x) / x))
     return float(np.ldexp(math.sqrt(ratio) * (1.0 + RADIUS_MARGIN), e))
 
 
-#: Source states per pass of :func:`build_generator` over the six terms.
-#: A pass's temporaries peak at about 350 bytes a state (1.4 MB a block,
-#: by tracemalloc), so a block stays in a core's cache, where one pass
-#: over the whole basis (from about ``n_max = 20``, 6,181 states) does not.
+#: Even-half source states per pass of :func:`build_generator` over the
+#: six terms.  A pass's temporaries peak at about 350 bytes a state (1.4
+#: MB a block, by tracemalloc), so a block stays in a core's cache; the
+#: even half is one block up to ``n_max = 22`` (4,071 states).
 BUILD_ROWS = 4096
 
 
 def build_generator(dev: ContinuousDevice, basis: FockBasis
                     ) -> ChiralGenerator:
     """Sparse real symmetric generator of the device in the number basis,
-    as its two parity blocks.
+    as its block ``B`` from the even half to the odd half.
 
     Terms: pair creation/annihilation on (s1,i1) and (s2,i2) with
     strengths gamma1/gamma2, and idler exchange with strength kappa; each
     listed with its Hermitian conjugate, so the matrix is symmetric by
     construction (the cutoff drops both directions of a boundary-crossing
-    transition).  All six terms are masked in one pass over a block of
-    :data:`BUILD_ROWS` source states; a term's target key is the source
-    key plus the strides of the modes it steps, and every target inside
-    the cutoff is in the sector.  A term reaches a row at most once, so
-    term ``t`` fills column ``t`` of a ``(size, 6)`` table.  Each term
-    flips the parity of ``n_s1 + n_i2``, so with the even half's rows
-    first and each column numbered within its half, the table's first rows
-    hold ``B^T`` and the rest ``B``; their entries, row by row, are the
-    CSR arrays of the two blocks.
+    transition).  Each term flips the parity of ``n_s1 + n_i2``, so ``B``
+    is filled from the even half's source states, all six terms masked in
+    one pass over a block of :data:`BUILD_ROWS` of them; a term's target
+    key is the source key plus the strides of the modes it steps, and
+    every target inside the cutoff is in the odd half.  A term reaches a
+    row at most once, so term ``t`` fills column ``t`` of an ``(n_odd,
+    6)`` table, whose entries, row by row, are ``B``'s CSR arrays.
     """
     coef = np.repeat([dev.gamma1, dev.gamma2, dev.kappa], 2)
     # each term's two modes, and which of them it raises
     modes = np.array([[0, 1], [0, 1], [2, 3], [2, 3], [1, 3], [1, 3]])
     up = np.array([[1, 1], [0, 0], [1, 1], [0, 0], [0, 1], [1, 0]], np.uint8)
-    odd = (basis.occupations[:, 0] + basis.occupations[:, 3]) % 2 == 1
-    halves = np.flatnonzero(~odd), np.flatnonzero(odd)
-    split = len(halves[0])
-    # a state's row within its half, and in the table (even half first)
-    local = np.empty(basis.size, dtype=np.int32)
-    for half in halves:
-        local[half] = np.arange(len(half))
-        half.flags.writeable = False
-    table_row = local + split * odd
-    # occupations as bytes (n_max <= 113); a term's raised modes leave the
-    # cutoff at n_max + 1, its lowered ones at 0
-    occupations = basis.occupations.T.astype(np.uint8)
+    parity = (basis.occupations[:, 0] + basis.occupations[:, 3]) % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
+    # the even half's occupations as bytes (n_max <= 113); a term's raised
+    # modes leave the cutoff at n_max + 1, its lowered ones at 0
+    occupations = basis.occupations[even].T.astype(np.uint8)
+    sources, targets = basis.keys[even], basis.keys[odd]
+    column = np.arange(len(even), dtype=np.int32)
     edge = np.where(up, basis.n_max + 1, 0)[..., None]
     root = np.sqrt(np.arange(basis.n_max + 2.0))
     offset = np.where(up, basis.strides[modes], -basis.strides[modes]).sum(1)
-    cols = np.zeros(basis.size * 6, dtype=np.int32)
-    vals = np.zeros(basis.size * 6)
-    for start in range(0, basis.size, BUILD_ROWS):
+    cols = np.zeros(len(odd) * 6, dtype=np.int32)
+    vals = np.zeros(len(odd) * 6)
+    for start in range(0, len(even), BUILD_ROWS):
         rows = slice(start, start + BUILD_ROWS)
         # (6, 2, rows) occupations, plus 1 where raised
         n = occupations[:, rows].take(modes, 0) + up[..., None]
@@ -315,24 +310,21 @@ def build_generator(dev: ContinuousDevice, basis: FockBasis
         amp = coef[:, None] * root.take(n[:, 0]) * root.take(n[:, 1])
         # the masks select term-major, so each term's queries ascend
         term = np.repeat(np.arange(6), np.count_nonzero(keep, axis=1))
-        target = np.searchsorted(basis.keys,
-                                 (basis.keys[rows] + offset[:, None])[keep])
-        slot = 6 * table_row[target] + term
-        cols[slot] = np.broadcast_to(local[rows], keep.shape)[keep]
+        target = np.searchsorted(targets,
+                                 (sources[rows] + offset[:, None])[keep])
+        slot = 6 * target + term
+        cols[slot] = np.broadcast_to(column[rows], keep.shape)[keep]
         vals[slot] = amp[keep]
-    cols, vals = cols.reshape(-1, 6), vals.reshape(-1, 6)
     filled = vals != 0.0
-    indptr = np.zeros(basis.size + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(filled, axis=1), out=indptr[1:])
+    indptr = np.zeros(len(odd) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(filled.reshape(-1, 6), axis=1),
+              out=indptr[1:])
     indices, data = cols[filled], vals[filled]
-    nnz = indptr[split]
-    odd_indptr = indptr[split:] - nnz
-    for array in (indptr, indices, data, odd_indptr):
+    for array in (even, odd, indptr, indices, data):
         array.flags.writeable = False
-    to_even = CsrMatrix(indptr[:split + 1], indices[:nnz], data[:nnz])
-    to_odd = CsrMatrix(odd_indptr, indices[nnz:], data[nnz:])
-    return ChiralGenerator(*halves, to_odd, to_even,
-                           _spectral_bound(to_odd, to_even))
+    block = CsrMatrix(indptr, indices, data)
+    return ChiralGenerator(even, odd, block,
+                           _spectral_bound(block, len(even)))
 
 
 #: A length's Chebyshev series ends at the first order above its argument
@@ -471,8 +463,8 @@ def expm_multiply(generator: ChiralGenerator, vector: np.ndarray,
     for row, values in zip(coef, series):
         row[:len(values)] = values
     coef *= _PHASE[np.arange(coef.shape[1]) % 4]
-    # w_k is ring[k % width], a row of rows[k % 2] made by blocks[k % 2]
-    blocks = (generator.to_even, generator.to_odd)
+    # w_k is ring[k % width], a row of rows[k % 2]: B^T makes even k, B odd
+    block = generator.to_odd
     rows = [np.zeros((width // 2, len(half))) for half in (even, odd)]
     ring = [rows[k % 2][k // 2] for k in range(width)]
     ring[0][:] = vector[even]
@@ -481,12 +473,12 @@ def expm_multiply(generator: ChiralGenerator, vector: np.ndarray,
         for k in range(max(1, start), min(terms, start + width)):
             row = ring[k % width]
             if k == 1:
-                scaled = [block.data * (2.0 / radius) for block in blocks]
-                _matvec(blocks[1], blocks[1].data, ring[0], out=row)
+                scaled = block.data * (2.0 / radius)
+                _matvec(block, block.data, ring[0], out=row)
                 row /= radius
             else:
-                _matvec(blocks[k % 2], scaled[k % 2], ring[(k - 1) % width],
-                        out=row)
+                _matvec(block, scaled, ring[(k - 1) % width], out=row,
+                        transpose=(k % 2 == 0))
                 row -= ring[(k - 2) % width]
         for parity, part in enumerate(parts):
             weights = coef[:, start + parity:start + width:2]

@@ -669,6 +669,7 @@ def test_a_reader_that_leaves_after_the_header_ends_a_longer_sweep(
     header = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=120) == code
     assert header.startswith((b"L,", b"psi,")) and err == b""
 

@@ -91,20 +91,19 @@ def test_index_of_refuses_kets_outside_the_basis(basis4):
         basis4.index_of([(1, 1, 0, 0), (1, 0, 0, 0)])
 
 
-def _block(matrix, rows, cols):
-    """One parity block of a generator as a SciPy sparse array, without a
-    copy."""
-    return scipy.sparse.csr_array(
-        (matrix.data, matrix.indices, matrix.indptr), shape=(rows, cols))
+def _block(g):
+    """The coupling block ``B`` of a generator as a SciPy sparse array,
+    without a copy."""
+    b = g.to_odd
+    return scipy.sparse.csr_array((b.data, b.indices, b.indptr),
+                                  shape=(len(g.odd), len(g.even)))
 
 
 def assembled(g):
-    """The full generator of :func:`build_generator`'s record ``g``, in
-    basis order, from its two parity blocks."""
-    even, odd = len(g.even), len(g.odd)
-    halves = scipy.sparse.block_array(
-        [[None, _block(g.to_even, even, odd)],
-         [_block(g.to_odd, odd, even), None]], format="csr")
+    """The full generator ``[[0, B^T], [B, 0]]`` of :func:`build_generator`'s
+    record ``g``, in basis order."""
+    b = _block(g)
+    halves = scipy.sparse.block_array([[None, b.T], [b, None]], format="csr")
     order = np.argsort(np.concatenate([g.even, g.odd]))
     return halves[order][:, order]
 
@@ -138,12 +137,11 @@ def test_generator_does_not_depend_on_the_build_block(rows, monkeypatch):
     blocked = build_generator(dev, basis)
     for name in ("even", "odd"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
-    for name in ("to_odd", "to_even"):
-        for field in ("indptr", "indices", "data"):
-            got = getattr(getattr(blocked, name), field)
-            want = getattr(getattr(whole, name), field)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), (name, field)
+    for field in ("indptr", "indices", "data"):
+        got = getattr(blocked.to_odd, field)
+        want = getattr(whole.to_odd, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), field
     assert blocked.radius == whole.radius
 
 
@@ -186,29 +184,29 @@ def assert_radius_bounds(g, dense):
 def test_generator_product_and_radius_match_scipy_sparse(n_max):
     basis = FockBasis.build(n_max)
     g = build_generator(ContinuousDevice(**FIG2, length=1.0), basis)
-    even, odd = len(g.even), len(g.odd)
+    b, h = g.to_odd, _block(g)
     rng = np.random.default_rng(0)
-    for block, rows, cols in ((g.to_odd, odd, even), (g.to_even, even, odd)):
-        h = _block(block, rows, cols)
-        # wrapped without a copy
-        for mine, scipys in zip((block.indptr, block.indices, block.data),
-                                (h.indptr, h.indices, h.data)):
+    # B and B^T, both wrapped without a copy: h.T is the CSC array on B's
+    # own arrays, which SciPy multiplies with csc_matvec
+    assert h.T.format == "csc"
+    for transpose, matrix in ((False, h), (True, h.T)):
+        for mine, scipys in zip((b.indptr, b.indices, b.data),
+                                (matrix.indptr, matrix.indices, matrix.data)):
             assert np.shares_memory(mine, scipys)
+        rows, cols = matrix.shape
         x = rng.standard_normal(cols)
-        y = fock._matvec(block, block.data, x, np.empty(rows))
+        y = fock._matvec(b, b.data, x, np.empty(rows), transpose=transpose)
         # SciPy's product of the same arrays, bit for bit
-        assert np.array_equal(y, h @ x)
-        # its canonical layout sums each row in column order instead
-        canonical = h.copy()
+        assert np.array_equal(y, matrix @ x)
+        # its canonical CSR layout sums each row in column order instead
+        canonical = matrix.tocsr(copy=True)
         canonical.sort_indices()
         assert np.max(np.abs(y - canonical @ x)) <= 1e-15 * np.max(np.abs(y))
-        # no duplicate column within a row and no stored zero
-        r = np.repeat(np.arange(rows), np.diff(block.indptr))
-        assert len(np.unique(r * cols + block.indices)) == len(block.indices)
-        assert np.all(block.data != 0.0)
-    # the two blocks are each other's transpose, entry for entry
-    assert np.array_equal(_block(g.to_even, even, odd).toarray(),
-                          _block(g.to_odd, odd, even).toarray().T)
+    # no duplicate column within a row and no stored zero
+    odd, even = h.shape
+    r = np.repeat(np.arange(odd), np.diff(b.indptr))
+    assert len(np.unique(r * even + b.indices)) == len(b.indices)
+    assert np.all(b.data != 0.0)
     assert_radius_bounds(g, assembled(g).toarray())
 
 
@@ -220,17 +218,16 @@ def test_spectral_bound_is_within_five_percent_at_nmax8():
 
 
 def assert_chiral(g, basis):
-    """The halves are the even and odd states, and every entry of each
-    block joins a state of one half to one of the other."""
+    """The halves are the even and odd states, and every entry of the
+    block joins a state of the even half to one of the odd half."""
     p = (basis.occupations[:, 0] + basis.occupations[:, 3]) % 2
     assert np.array_equal(g.even, np.flatnonzero(p == 0))
     assert np.array_equal(g.odd, np.flatnonzero(p == 1))
     assert g.even[0] == 0
-    for block, rows, cols, want in ((g.to_odd, g.odd, g.even, 1),
-                                    (g.to_even, g.even, g.odd, 0)):
-        r = np.repeat(rows, np.diff(block.indptr))
-        assert np.all(p[r] == want)
-        assert np.all(p[cols[block.indices]] == 1 - want)
+    b = g.to_odd
+    assert len(b.indptr) == len(g.odd) + 1
+    assert np.all(p[np.repeat(g.odd, np.diff(b.indptr))] == 1)
+    assert np.all(p[g.even[b.indices]] == 0)
 
 
 @pytest.mark.parametrize("n_max", range(1, 13))
@@ -378,24 +375,30 @@ def test_evolve_calls_expm_multiply_once_through_the_module_name(
 
 
 def test_sparsetools_coexist_with_scipy_sparse_imported_later(child_env):
-    # the package loads SciPy's compiled csr_matvec without importing
-    # scipy or scipy.sparse; scipy.sparse imported afterwards must still
-    # carry its _sparsetools attribute, with the same kernel
+    # the package loads SciPy's compiled csr_matvec and csc_matvec
+    # without importing scipy or scipy.sparse; scipy.sparse imported
+    # afterwards must still carry its _sparsetools attribute, with the
+    # same kernels
     code = textwrap.dedent("""
         import sys
         import numpy as np
         import coupledpdc.fock as fock
         assert "scipy" not in sys.modules
         import scipy.sparse
-        assert scipy.sparse._sparsetools.csr_matvec is fock._csr_matvec
+        kernels = scipy.sparse._sparsetools
+        assert kernels.csr_matvec is fock._csr_matvec
+        assert kernels.csc_matvec is fock._csc_matvec
         g = fock.build_generator(fock.ContinuousDevice(0.1, 0.3, 3.0, 1.0),
                                  fock.FockBasis.build(4))
         b = g.to_odd
         x = np.linspace(-1.0, 1.0, len(g.even))
+        y = np.linspace(-1.0, 1.0, len(g.odd))
         csr = scipy.sparse.csr_matrix((b.data, b.indices, b.indptr),
                                       shape=(len(g.odd), len(g.even)))
         assert np.array_equal(csr @ x, fock._matvec(b, b.data, x,
                                                     np.empty(len(g.odd))))
+        assert np.array_equal(csr.T @ y, fock._matvec(
+            b, b.data, y, np.empty(len(g.even)), transpose=True))
         print("ok")
     """)
     proc = subprocess.run([sys.executable, "-c", code], env=child_env,
@@ -410,7 +413,16 @@ def test_scipy_extension_loader_names_a_missing_module(monkeypatch):
                         lambda *args: None)
     with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"
                                           r" not found in SciPy \d"):
-        fock._load_csr_matvec()
+        fock._load_matvecs()
+
+
+def test_scipy_extension_loader_returns_both_kernels_of_one_module():
+    # scipy.sparse is imported first here, so the loader returns the
+    # kernels of its _sparsetools, the module SciPy's own products run
+    kernels = scipy.sparse._sparsetools
+    assert fock._load_matvecs() == (kernels.csr_matvec, kernels.csc_matvec)
+    assert (fock._csr_matvec, fock._csc_matvec) == (kernels.csr_matvec,
+                                                    kernels.csc_matvec)
 
 
 def test_chebyshev_coefficients_match_bessel_functions():
@@ -643,17 +655,23 @@ def test_short_length_state_matches_extracted_pair(basis4):
 def test_oracle_check_runs_half_size_products_only(monkeypatch):
     # fig2 at nmax 8, halves of 249 and 240 states: the four default
     # lengths take 129 products for the longest series and the spectral
-    # bound 4 (158 full-size products with Gershgorin's bound)
+    # bound 4 (158 full-size products with Gershgorin's bound); products
+    # with B fill the odd half, products with B^T the even half
     from coupledpdc import cli
-    rows = []
-    kernel = fock._csr_matvec
+    rows = {}
 
-    def counting(n_row, *args):
-        rows.append(n_row)
-        return kernel(n_row, *args)
+    def counting(name):
+        kernel = getattr(fock, name)
 
-    monkeypatch.setattr(fock, "_csr_matvec", counting)
+        def count(n_row, *args):
+            rows.setdefault(name, []).append(n_row)
+            return kernel(n_row, *args)
+        return count
+
+    for name in ("_csr_matvec", "_csc_matvec"):
+        monkeypatch.setattr(fock, name, counting(name))
     assert cli.main(["oracle-check", "--preset", "fig2",
                      "--nmax", "8"]) == cli.EXIT_OK
-    assert max(rows) <= 249
-    assert len(rows) <= 140
+    assert set(rows["_csr_matvec"]) == {240}
+    assert set(rows["_csc_matvec"]) == {249}
+    assert len(rows["_csr_matvec"]) + len(rows["_csc_matvec"]) <= 140
