@@ -23,10 +23,11 @@ blocks of :data:`BLOCK` points: one stacked transfer-matrix build with
 its checks, the vacuum moments once per block as ``(N,)`` arrays, and
 from them the coherence, the four-converter extraction and the
 interferometer extraction, each vectorized over the block.  Every check
-records a per-row failure instead of raising, and a row's status names
-the first failed check of each stage.  The block size does not change
-any result: each row is bit-identical to the same point computed on its
-own through the single-point functions, which are batches of one.
+records a per-row failure code instead of raising, and a row's status
+names the tag of each stage's first failed check, which the code's class
+in :data:`coupledpdc.errors.ERRORS` carries.  The block size does not
+change any result: each row is bit-identical to the same point computed
+on its own through the single-point functions, which are batches of one.
 
 The output is assembled by column, a block at a time: one list of cells
 per column, the status cells built only for the rows where a check
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from . import moments as mom
+from .config import TOL
 from .device import (
     CascadedDevice,
     ContinuousDevice,
@@ -63,19 +65,11 @@ from .device import (
     transfer_stack,
 )
 from .errors import (
+    ERRORS,
     CoherenceBoundError,
-    DegenerateGeometryError,
-    ExtractionResidualError,
-    NonFiniteMatrixError,
-    NonRealCorrelationError,
-    PairConservationError,
-    ParameterCapError,
     PdcModelError,
-    SymplecticDriftError,
-    TanhDomainError,
     TruncationLeakageError,
     UndefinedCoherenceError,
-    ZeroSchemeError,
     first_of,
 )
 
@@ -164,15 +158,13 @@ MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A validated sweep request (variable, range, grid, output)."""
+    """A validated sweep request (variable, range, grid)."""
 
     kind: str                    # "length" | "psi"
     device: Union[ContinuousDevice, CascadedDevice]
     start: float
     stop: float
     steps: int
-    out: str = "-"
-    columns: Optional[Sequence[str]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("length", "psi"):
@@ -196,26 +188,6 @@ def _fmt(value: float) -> str:
     return repr(float(value) + 0.0)
 
 
-_STATUS_TAGS = {
-    UndefinedCoherenceError: "undefined-coherence",
-    NonRealCorrelationError: "non-real-correlation",
-    TanhDomainError: "tanh-domain",
-    ExtractionResidualError: "residual-too-large",
-    TruncationLeakageError: "leakage",
-    NonFiniteMatrixError: "non-finite",
-    SymplecticDriftError: "symplectic-drift",
-    PairConservationError: "pair-conservation",
-    CoherenceBoundError: "coherence-bound",
-    ParameterCapError: "parameter-cap",
-    ZeroSchemeError: "zero-scheme",
-    DegenerateGeometryError: "degenerate-geometry",
-}
-
-
-def _tag(exc: PdcModelError) -> str:
-    return _STATUS_TAGS.get(type(exc), "error")
-
-
 #: Grid points per pass of the sweep engine.  The CLI holds one block's
 #: stacks and cells, a tracemalloc peak of about 1.1 MB on fig2, however
 #: many steps a sweep has; a library sweep also holds its output cells.
@@ -230,7 +202,7 @@ def _column(values: np.ndarray) -> List[str]:
 def _cells(values: np.ndarray, failed: np.ndarray) -> List[str]:
     """One column of a block, empty where the row failed."""
     cells = _column(values)
-    for i in np.flatnonzero(np.not_equal(failed, None)):
+    for i in np.flatnonzero(failed):
         cells[i] = ""
     return cells
 
@@ -256,18 +228,18 @@ def _length_block(dev: ContinuousDevice, lengths: np.ndarray):
     ou = dec.interferometer_stack(m, ms, device)
     geo, geo_failed = ww.geometry_stack(*(zou.params[g] for g in
                                           ("g1", "g2", "g4", "g5")))
-    defined = np.where(np.equal(gamma_failed, None), "1", "0")
-    undefined = [isinstance(f, UndefinedCoherenceError) for f in gamma_failed]
+    defined = np.where(gamma_failed == 0, "1", "0")
+    undefined = gamma_failed == ERRORS.index(UndefinedCoherenceError)
     cells = {
         "gamma": _cells(coh.gamma, gamma_failed),
-        "gamma_defined": np.where(np.equal(device, None), defined, "").tolist(),
+        "gamma_defined": np.where(device == 0, defined, "").tolist(),
         "n_s1": _cells(ms.b["s1"], device),
         "n_s2": _cells(ms.b["s2"], device),
         "n_total_signal": _cells(ms.b["s1"] + ms.b["s2"], device),
         "uv_angle": _cells(geo.angle, first_of(zou.failed, geo_failed)),
         **_scheme_cells("zou", zou), **_scheme_cells("ou", ou),
     }
-    return cells, device, [("gamma", np.where(undefined, None, gamma_failed)),
+    return cells, device, [("gamma", np.where(undefined, 0, gamma_failed)),
                            ("zou", zou.failed), ("ou", ou.failed)]
 
 
@@ -290,15 +262,14 @@ def _psi_block(dev: CascadedDevice, psis: np.ndarray):
 def _status(device: np.ndarray, stages) -> List[str]:
     """Status cells: the device's tag alone, else the tags of the failed
     stages joined by ``;``, else ``ok``."""
+    shown = [("device", device)] + [(prefix, np.where(device == 0, codes, 0))
+                                    for prefix, codes in stages]
+    rows = np.flatnonzero(np.any([codes for _, codes in shown], axis=0))
+    tags = [[f"{prefix}:{ERRORS[code].tag}" if code else ""
+             for code in codes[rows].tolist()] for prefix, codes in shown]
     out = ["ok"] * len(device)
-    failed_rows = np.not_equal(device, None)
-    for _, failed in stages:
-        failed_rows |= np.not_equal(failed, None)
-    for i in np.flatnonzero(failed_rows):
-        out[i] = (f"device:{_tag(device[i])}" if device[i] is not None
-                  else ";".join(f"{prefix}:{_tag(failed[i])}"
-                                for prefix, failed in stages
-                                if failed[i] is not None))
+    for i, row in zip(rows.tolist(), zip(*tags)):
+        out[i] = ";".join(filter(None, row))
     return out
 
 
@@ -498,21 +469,22 @@ def _cmd_sweep(args, kind: str) -> int:
             dev = CascadedDevice(merged["r1"], merged["r2"], 0.0)
             merged.setdefault("start", 0.0)
             merged.setdefault("stop", math.pi / 2)
+        selected = _parse_columns(args, columns)
         cfg = SweepConfig(kind=kind, device=dev,
                           start=merged["start"], stop=merged["stop"],
-                          steps=int(merged["steps"]), out=args.out,
-                          columns=_parse_columns(args, columns))
+                          steps=int(merged["steps"]))
     except (ValueError, TypeError) as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # the output is opened before any grid point is computed
     try:
-        out = (contextlib.nullcontext(sys.stdout) if cfg.out == "-" else
-               open(cfg.out, "w", encoding="utf-8", newline="\n"))
+        out = (contextlib.nullcontext(sys.stdout) if args.out == "-" else
+               open(args.out, "w", encoding="utf-8", newline="\n"))
     except OSError as exc:
-        print(f"cannot write --out {cfg.out}: {exc.strerror}", file=sys.stderr)
+        print(f"cannot write --out {args.out}: {exc.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
-    names = [c for c in columns if cfg.columns is None or c in cfg.columns]
+    names = [c for c in columns if selected is None or c in selected]
     lines = map(lambda cells: _csv_lines(names, cells), _sweep_blocks(
         cfg, columns, _length_block if kind == "length" else _psi_block))
     with out as fh:
@@ -536,18 +508,34 @@ def _parse_columns(args, known: Sequence[str]) -> Optional[Sequence[str]]:
 
 @dataclass(frozen=True)
 class OracleDeviation:
-    """Transfer-matrix vs number-basis deviations; ``dgamma`` is ``None``
-    where the coherence is undefined."""
+    """Transfer-matrix vs number-basis deviations at one length; ``dgamma``
+    is ``None`` where the coherence is undefined, and ``code`` is the
+    length's first failure, 0 if it has none (see
+    :mod:`coupledpdc.errors`)."""
 
     dintensity: float
     dgamma: Optional[float]
     leakage: float
+    code: int
 
     def fields(self) -> str:
         gamma_note = ("gamma=undefined (skipped)" if self.dgamma is None
                       else f"dgamma={self.dgamma:.3e}")
         return (f"dintensity={self.dintensity:.3e} {gamma_note} "
                 f"leakage={self.leakage:.3e}")
+
+    def leaks(self, label: str) -> bool:
+        """Whether the length leaks past the cutoff, then said on stderr
+        after ``label``; any other failure of the length is raised."""
+        error = ERRORS[self.code]
+        if error is TruncationLeakageError:
+            print(f"{label}: boundary population {self.leakage:.3e} exceeds "
+                  f"{TOL.fock_leakage_max:.0e}; raise the cutoff",
+                  file=sys.stderr)
+            return True
+        if error is not None:
+            raise error()
+        return False
 
 
 #: Oracle lengths per shared Chebyshev recurrence.  A block's amplitudes
@@ -558,15 +546,14 @@ ORACLE_BLOCK = 4
 
 def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
                       generator, lengths: Sequence[float],
-                      ) -> List[Union[OracleDeviation, Exception]]:
+                      ) -> List[OracleDeviation]:
     """Compare ``dev``'s intensities and coherence on both routes at each
     of ``lengths``, where ``generator`` is
     :func:`~coupledpdc.fock.build_generator` of ``dev`` on ``basis``.
 
-    A length that fails carries its first failure instead of a deviation:
-    a check of the transfer matrix or of its moments, then one of
-    :func:`~coupledpdc.fock.evolve_stack` (a
-    :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff),
+    A length's code is its first failure: a check of the transfer matrix
+    or of its moments, then one of :func:`~coupledpdc.fock.evolve_stack`
+    (a :class:`~coupledpdc.errors.TruncationLeakageError` at the cutoff),
     then a coherence beyond the unit bound.  Each side runs once on the
     whole block, a transfer-matrix stack or a number-basis recurrence, and
     reads its coherence by :func:`~coupledpdc.moments.coherence_of`."""
@@ -577,7 +564,6 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
     failed = first_of(stack_failures(m), ms.failed)
     coh, coh_failed = mom.coherence_of(ms, failed)
     states, fock_failed = fock.evolve_stack(generator, basis, grid)
-    failed = first_of(failed, fock_failed)
     fock_ms = fock.moments_stack(states)
     fock_coh, fock_coh_failed = mom.coherence_of(fock_ms, fock_ms.failed)
     dintensity = np.max([np.abs(fock_ms.b[mode] - ms.b[mode])
@@ -585,18 +571,14 @@ def oracle_deviations(dev: ContinuousDevice, basis: FockBasis,
     # an undefined coherence on either side skips dgamma, the number
     # basis's first; one beyond the unit bound fails the length
     gamma_failed = first_of(fock_coh_failed, coh_failed)
-    out: List[Union[OracleDeviation, Exception]] = []
-    for i, state in enumerate(states):
-        if failed[i] is not None:
-            out.append(failed[i])
-        elif isinstance(gamma_failed[i], CoherenceBoundError):
-            out.append(gamma_failed[i])
-        else:
-            dgamma = (None if gamma_failed[i] is not None else
-                      abs(float(fock_coh.gamma[i]) - float(coh.gamma[i])))
-            out.append(OracleDeviation(float(dintensity[i]), dgamma,
-                                       state.leakage))
-    return out
+    bound = gamma_failed == ERRORS.index(CoherenceBoundError)
+    codes = first_of(first_of(failed, fock_failed),
+                     np.where(bound, gamma_failed, 0))
+    dgamma = np.abs(fock_coh.gamma - coh.gamma)
+    return [OracleDeviation(float(dintensity[i]),
+                            None if gamma_failed[i] else float(dgamma[i]),
+                            state.leakage, int(codes[i]))
+            for i, state in enumerate(states)]
 
 
 def _oracle_applies(dev, command: str) -> bool:
@@ -646,11 +628,8 @@ def _cmd_oracle_check(args) -> int:
         block = lengths[start:start + ORACLE_BLOCK]
         for length, deviation in zip(block, oracle_deviations(
                 probe, basis, generator, block)):
-            if isinstance(deviation, TruncationLeakageError):
-                print(f"L={_fmt(length)}: {deviation}", file=sys.stderr)
+            if deviation.leaks(f"L={_fmt(length)}"):
                 return EXIT_LEAKAGE
-            if isinstance(deviation, Exception):
-                raise deviation
             worst_intensity = max(worst_intensity, deviation.dintensity)
             worst_gamma = max(worst_gamma, deviation.dgamma or 0.0)
             worst_leak = max(worst_leak, deviation.leakage)
@@ -725,14 +704,14 @@ def _cmd_decompose(args) -> int:
                   f"uv_angle={_fmt(geo.angle)} gamma_sq="
                   f"{_fmt(geo.gamma_sq)} degenerate={int(geo.degenerate)}")
         except PdcModelError as exc:
-            print(f"which-way geometry failed: {_tag(exc)}")
+            print(f"which-way geometry failed: {exc.tag}")
         bound = dec.gain_bound(tm, s)
         print(f"signal_total={_fmt(bound.signal_total)} "
               f"scheme_total={_fmt(bound.scheme_total)} "
               f"parameter_cap={_fmt(bound.parameter_cap)} "
               f"bound_violated={int(bound.violated)}")
     except PdcModelError as exc:
-        print(f"four-converter extraction failed: {_tag(exc)}")
+        print(f"four-converter extraction failed: {exc.tag}")
     try:
         ou = dec.extract_interferometer(tm)
         s = ou.scheme
@@ -740,14 +719,11 @@ def _cmd_decompose(args) -> int:
               f"ou_phis={_fmt(s.phi_s)} ou_phii={_fmt(s.phi_i)} "
               f"ou_residual={_fmt(ou.residual)} branch={ou.branch}")
     except PdcModelError as exc:
-        print(f"interferometer extraction failed: {_tag(exc)}")
+        print(f"interferometer extraction failed: {exc.tag}")
     if basis is not None:
         (deviation,) = oracle_deviations(dev, basis, generator, [dev.length])
-        if isinstance(deviation, TruncationLeakageError):
-            print(f"nmax={args.nmax}: {deviation}", file=sys.stderr)
+        if deviation.leaks(f"nmax={args.nmax}"):
             return EXIT_LEAKAGE
-        if isinstance(deviation, Exception):
-            raise deviation
         print(f"nmax={args.nmax} {deviation.fields()}")
     return EXIT_OK
 

@@ -24,22 +24,24 @@ stages act trivially on vacuum).
 Both extractions run on a stack of N transfer matrices at once
 (:func:`four_converter_stack`, :func:`interferometer_stack`): ``tanh``
 inversions by :func:`~coupledpdc.linalg.atanh`, batched stage products
-and, for the interferometer, one batched SVD.  Every check records its
-failure per row (see :mod:`coupledpdc.errors`); :func:`extract_four_converter`
-and :func:`extract_interferometer` are the same code on a batch of one.
+and, for the interferometer, one batched SVD.  Every check records a
+failure code per row (see :mod:`coupledpdc.errors`);
+:func:`extract_four_converter` and :func:`extract_interferometer` are the
+same code on a batch of one, which raises the class of its code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from .config import TOL
 from .device import TransferMatrix
 from .errors import (
+    ERRORS,
     ExtractionResidualError,
     NonRealCorrelationError,
     ParameterCapError,
@@ -64,16 +66,13 @@ __all__ = [
 ]
 
 
-def _cap_message(name: str, value: float) -> str:
-    return (f"|{name}| = {abs(value)} is outside the sane inversion domain "
-            f"(cap {TOL.scheme_parameter_cap})")
-
-
 def _check_coupling(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if abs(value) >= TOL.scheme_parameter_cap:
-        raise ParameterCapError(_cap_message(name, value))
+        raise ParameterCapError(
+            f"|{name}| = {abs(value)} is outside the sane inversion domain "
+            f"(cap {TOL.scheme_parameter_cap})")
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,8 @@ def mixer_stage(phi_s, phi_i) -> np.ndarray:
 # flag failing rows in the ``failed`` record they are given, except
 # ``_undo_direct``, which returns an extended copy.
 
-def _invert_tanh(arg: np.ndarray, failed: np.ndarray,
-                 *, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _invert_tanh(arg: np.ndarray,
+                 failed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``tanh(2g) = arg`` for real g, per row.
 
     Returns ``(g, imag_residue)``.  A non-real argument, or one reaching
@@ -212,19 +211,16 @@ def _invert_tanh(arg: np.ndarray, failed: np.ndarray,
     argument past +-1 within it is clamped.
     """
     imag = np.abs(arg.imag)
-    flag(failed, imag > TOL.imag_correlation, lambda i: NonRealCorrelationError(
-        f"{what}: inversion argument has imaginary part {imag[i]:.3e}"))
+    flag(failed, imag > TOL.imag_correlation, NonRealCorrelationError)
     x = arg.real
     over = np.abs(x) >= 1.0
     flag(failed, over & (np.abs(x) - 1.0 > TOL.tanh_overshoot),
-         lambda i: TanhDomainError(
-             f"{what}: |tanh argument| = {abs(x[i])} exceeds 1 beyond the "
-             "rounding allowance"))
+         TanhDomainError)
     x = np.where(over, np.copysign(1.0 - TOL.tanh_clamp, x), x)
     return 0.5 * atanh(x), imag
 
 
-def _undo_direct(partial: np.ndarray, failed: np.ndarray, scheme: str):
+def _undo_direct(partial: np.ndarray, failed: np.ndarray):
     """Direct converter couplings that decorrelate ``partial``, and the
     residual left once they are undone too.
 
@@ -238,31 +234,32 @@ def _undo_direct(partial: np.ndarray, failed: np.ndarray, scheme: str):
     failed = first_of(failed, ms.failed)
     t1 = -2j * ms.d["s1i1"] / (ms.b["s1"] + ms.b["i1"] + 1.0)
     t2 = -2j * ms.d["s2i2"] / (ms.b["s2"] + ms.b["i2"] + 1.0)
-    g1, imag1 = _invert_tanh(t1, failed, what="direct gain g1")
-    g2, imag2 = _invert_tanh(t2, failed, what="direct gain g2")
+    g1, imag1 = _invert_tanh(t1, failed)
+    g2, imag2 = _invert_tanh(t2, failed)
     final = vacuum_moments(direct_stage(g1, g2) @ partial)
     failed = first_of(failed, final.failed)
     residual = final.max_abs()
     flag(failed, residual > TOL.extraction_residual_max,
-         lambda i: ExtractionResidualError(
-             f"{scheme} residual {residual[i]:.3e} exceeds "
-             f"{TOL.extraction_residual_max:.0e}"))
+         ExtractionResidualError)
     return g1, g2, np.maximum(imag1, imag2), residual, failed
 
 
-def _flag_caps(failed: np.ndarray, couplings: Mapping[str, np.ndarray]):
-    for name, value in couplings.items():
-        flag(failed, np.abs(value) >= TOL.scheme_parameter_cap,
-             lambda i: ParameterCapError(_cap_message(name, value[i])))
+def _flag_caps(failed: np.ndarray, *couplings: np.ndarray) -> None:
+    flag(failed, np.any([np.abs(value) >= TOL.scheme_parameter_cap
+                         for value in couplings], axis=0), ParameterCapError)
 
 
 def _extract_one(extract, tm: TransferMatrix, scheme_type,
                  branch: str) -> ExtractionReport:
-    """``extract`` on a batch of one: its report, or its failure raised."""
+    """``extract`` on a batch of one: its report, or its failure raised.
+    A coupling at the cap is raised by the scheme's constructor, whose
+    message names the coupling and the cap, as for a scheme built by
+    hand."""
     m = tm.matrix[None]
     ms = vacuum_moments(m)
     stack = extract(m, ms, ms.failed)
-    raise_first(stack.failed)
+    if ERRORS[stack.failed[0]] is not ParameterCapError:
+        raise_first(stack.failed)
     return ExtractionReport(
         scheme=scheme_type(**{k: float(v[0]) for k, v in stack.params.items()}),
         residual=float(stack.residual[0]),
@@ -289,12 +286,12 @@ def four_converter_stack(m: np.ndarray, ms: MomentSet,
     failed = failed.copy()
     t4 = 2.0 * ms.d["s1i2"] / (ms.b["s1"] + ms.b["i2"] + 1.0)
     t5 = 2.0 * ms.d["s2i1"] / (ms.b["s2"] + ms.b["i1"] + 1.0)
-    g4, imag4 = _invert_tanh(t4, failed, what="crossed gain g4")
-    g5, imag5 = _invert_tanh(t5, failed, what="crossed gain g5")
+    g4, imag4 = _invert_tanh(t4, failed)
+    g5, imag5 = _invert_tanh(t5, failed)
     g1, g2, imag12, residual, failed = _undo_direct(
-        crossed_stage(g4, g5) @ m, failed, "four-converter")
+        crossed_stage(g4, g5) @ m, failed)
+    _flag_caps(failed, g1, g2, g4, g5)
     params = {"g1": g1, "g2": g2, "g4": g4, "g5": g5}
-    _flag_caps(failed, params)
     return SchemeStack(params, residual,
                        np.maximum(np.maximum(imag4, imag5), imag12), failed)
 
@@ -358,7 +355,7 @@ def interferometer_stack(m: np.ndarray, ms: MomentSet,
                      axis=-1).reshape(-1, 2, 2)
     # a failed row may hold non-finite moments, which would stop the
     # batched SVD for every row
-    pairs[~np.equal(failed, None)] = 0.0
+    pairs[failed != 0] = 0.0
     left, sigma, right_h = np.linalg.svd(pairs)
     top = sigma[:, 0]
     equal = top - sigma[:, 1] <= _EQUAL_SINGULAR * top
@@ -372,8 +369,8 @@ def interferometer_stack(m: np.ndarray, ms: MomentSet,
                      _mixer_angle(np.conj(right_h[:, 0, 0]),
                                   np.conj(right_h[:, 0, 1]), -1.0))
     g1, g2, imag, residual, failed = _undo_direct(
-        mixer_stage(phi_s, phi_i) @ m, failed, "interferometer")
-    _flag_caps(failed, {"g1": g1, "g2": g2})
+        mixer_stage(phi_s, phi_i) @ m, failed)
+    _flag_caps(failed, g1, g2)
     params = {"g1": g1, "g2": g2, "phi_s": phi_s, "phi_i": phi_i}
     return SchemeStack(params, residual, imag, failed)
 

@@ -50,7 +50,13 @@ import numpy as np
 
 from .config import TOL
 from .device import ContinuousDevice
-from .errors import TruncationLeakageError, flag, no_failures, raise_first
+from .errors import (
+    TruncationLeakageError,
+    _NormDriftError,
+    flag,
+    no_failures,
+    raise_first,
+)
 from .moments import CoherenceResult, MomentSet, coherence_of
 
 __all__ = [
@@ -497,8 +503,8 @@ def evolve_stack(generator: ChiralGenerator, basis: FockBasis,
     ``basis``) over each of ``lengths``, from one :func:`expm_multiply`.
 
     Returns the states and each length's first failure (see
-    :mod:`coupledpdc.errors`): an ``ArithmeticError`` when the norm is off
-    1 by more than ``TOL.fock_norm``, then a
+    :mod:`coupledpdc.errors`): an ``ArithmeticError`` (tagged ``error``)
+    when the norm is off 1 by more than ``TOL.fock_norm``, then a
     :class:`~coupledpdc.errors.TruncationLeakageError` when the boundary
     population exceeds ``TOL.fock_leakage_max``.
     """
@@ -512,13 +518,8 @@ def evolve_stack(generator: ChiralGenerator, basis: FockBasis,
     boundary = np.max(basis.occupations, axis=1) == basis.n_max
     leakage = np.array([np.sum(np.abs(row[boundary]) ** 2) for row in psi])
     failed = no_failures(len(psi))
-    flag(failed, np.abs(norm - 1.0) > TOL.fock_norm,
-         lambda i: ArithmeticError(
-             f"evolution lost unitarity: norm = {float(norm[i])!r}"))
-    flag(failed, leakage > TOL.fock_leakage_max,
-         lambda i: TruncationLeakageError(
-             f"boundary population {leakage[i]:.3e} exceeds "
-             f"{TOL.fock_leakage_max:.0e}; raise the cutoff"))
+    flag(failed, np.abs(norm - 1.0) > TOL.fock_norm, _NormDriftError)
+    flag(failed, leakage > TOL.fock_leakage_max, TruncationLeakageError)
     states = [FockState(basis=basis, amplitudes=row, leakage=float(leak))
               for row, leak in zip(psi, leakage)]
     return states, failed

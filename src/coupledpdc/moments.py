@@ -144,13 +144,9 @@ def _stack(m: np.ndarray) -> MomentSet:
     signal = b["s1"] + b["s2"]
     pair_gap = np.abs(signal - b["i1"] - b["i2"])
     failed = no_failures(len(m))
-    ok = pair_gap <= TOL.pair_conservation * np.maximum(1.0, signal)
-    if not ok.all():
-        flag(failed, ~np.isfinite(pair_gap), lambda i: NonFiniteMatrixError(
-            f"occupations overflowed: signal total {signal[i]:.3e}"))
-        flag(failed, ~ok, lambda i: PairConservationError(
-            "pair production must create equal signal and idler totals; "
-            f"gap {pair_gap[i]:.3e} at signal total {signal[i]:.3e}"))
+    allowed = TOL.pair_conservation * np.maximum(1.0, signal)
+    flag(failed, ~np.isfinite(pair_gap), NonFiniteMatrixError)
+    flag(failed, ~(pair_gap <= allowed), PairConservationError)
     return MomentSet(d=MappingProxyType(d), b=MappingProxyType(b),
                      failed=failed)
 
@@ -190,14 +186,11 @@ def coherence_of(ms: MomentSet,
     n1, n2 = ms.b["s1"], ms.b["s2"]
     low = np.minimum(n1, n2)
     undefined = low <= TOL.coherence_epsilon
-    flag(failed, undefined, lambda i: UndefinedCoherenceError(
-        f"signal occupations ({n1[i]:.3e}, {n2[i]:.3e}) are too small to "
-        "normalize the cross-correlation"))
+    flag(failed, undefined, UndefinedCoherenceError)
     value = -1j * ms.d["s1s2"] / np.sqrt(np.where(undefined, 1.0, n1 * n2))
     gamma = value.real
     flag(failed, np.abs(gamma) > 1.0 + TOL.coherence_bound_slack,
-         lambda i: CoherenceBoundError(
-             f"|gamma| = {abs(gamma[i])} violates the unit bound"))
+         CoherenceBoundError)
     return CoherenceResult(gamma=gamma, imag_residue=np.abs(value.imag),
                            fragile=low < TOL.coherence_fragile), failed
 

@@ -104,7 +104,7 @@ class WhichWayMeasurement:
 def pair_state(scheme: FourConverterScheme) -> PairState:
     """First-order pair state prepared by the four-converter scheme."""
     if scheme.g1 == 0 and scheme.g2 == 0 and scheme.g4 == 0 and scheme.g5 == 0:
-        raise ZeroSchemeError("all couplings vanish: no pair is produced")
+        raise ZeroSchemeError()
     return PairState(
         c_1001=complex(scheme.g4),
         c_0110=complex(scheme.g5),
@@ -133,8 +133,7 @@ def geometry_stack(g1: np.ndarray, g2: np.ndarray, g4: np.ndarray,
     # coherent with itself after any mixer
     degenerate = (u2 == 0.0) | (v2 == 0.0)
     failed = no_failures(len(dot))
-    flag(failed, (u2 == 0.0) & (v2 == 0.0),
-         lambda i: ZeroSchemeError("all couplings vanish: no geometry"))
+    flag(failed, (u2 == 0.0) & (v2 == 0.0), ZeroSchemeError)
     return WhichWayGeometry(
         u=u, v=v, dot=dot, cross=cross,
         angle=np.where(degenerate, 0.0, atan2(cross, dot)),

@@ -212,8 +212,7 @@ def test_extraction_failure_lands_in_status_column(tmp_path, monkeypatch):
 
     def forced(m, ms, failed):
         ou = kernel(m, ms, failed)
-        flag(ou.failed, np.ones(len(m), dtype=bool),
-             lambda i: TanhDomainError("forced for the test"))
+        flag(ou.failed, np.ones(len(m), dtype=bool), TanhDomainError)
         return ou
 
     monkeypatch.setattr(decompose, "interferometer_stack", forced)

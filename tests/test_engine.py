@@ -2,6 +2,7 @@
 the names the benchmark's tracer reaches into."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from coupledpdc.device import (
     transfer_matrix,
 )
 from coupledpdc.errors import (
+    ERRORS,
     CoherenceBoundError,
     ParameterCapError,
     PdcModelError,
@@ -46,14 +48,14 @@ ABOVE = ContinuousDevice(1.0, 1.0, 0.5, 0.0)
 def _single_point_row(dev: ContinuousDevice) -> dict:
     """One length-sweep row computed through the single-point functions,
     as the sweeps were evaluated before the batched engine."""
-    fmt, tag = cli._fmt, cli._tag
+    fmt = cli._fmt
     row = dict.fromkeys(LENGTH_COLUMNS, "")
     row["L"] = fmt(dev.length)
     try:
         tm = transfer_matrix(dev)
         inten = intensities(tm)
     except PdcModelError as exc:
-        row["status"] = f"device:{tag(exc)}"
+        row["status"] = f"device:{exc.tag}"
         return row
     row.update(n_s1=fmt(inten.s1), n_s2=fmt(inten.s2),
                n_total_signal=fmt(inten.total_signal), gamma_defined="0")
@@ -64,13 +66,13 @@ def _single_point_row(dev: ContinuousDevice) -> dict:
     except UndefinedCoherenceError:
         pass
     except PdcModelError as exc:
-        problems.append(f"gamma:{tag(exc)}")
+        problems.append(f"gamma:{exc.tag}")
     for prefix, extract in (("zou", extract_four_converter),
                             ("ou", extract_interferometer)):
         try:
             report = extract(tm)
         except PdcModelError as exc:
-            problems.append(f"{prefix}:{tag(exc)}")
+            problems.append(f"{prefix}:{exc.tag}")
             continue
         for name, value in vars(report.scheme).items():
             row[f"{prefix}_{name.replace('_', '')}"] = fmt(value)
@@ -84,15 +86,20 @@ def _single_point_row(dev: ContinuousDevice) -> dict:
     return row
 
 
-@pytest.mark.parametrize("base, stop", [(FIG2, 20.0), (ABOVE, 400.0)],
-                         ids=["fig2", "above-threshold"])
-def test_block_boundaries_do_not_change_rows(base, stop, monkeypatch):
+@pytest.mark.parametrize("base, stop, steps", [
+    (FIG2, 20.0, 3 * 64 + 17),
+    (ABOVE, 400.0, 3 * 64 + 17),
+    # the remainder is one failing row, L = 400 (device:non-finite)
+    (ABOVE, 400.0, 3 * 64 + 1),
+], ids=["fig2", "above-threshold", "one-failing-row-block"])
+def test_block_boundaries_do_not_change_rows(base, stop, steps, monkeypatch):
     # three full blocks and a remainder (the blocks are made small to keep
     # the single-point reference cheap); every row must be byte-equal to
-    # the same point computed on its own, ok and tagged rows alike
+    # the same point computed on its own, ok and tagged rows alike, and a
+    # block of one row tags its failure where a single point raises it
     monkeypatch.setattr(cli, "BLOCK", 64)
     cfg = SweepConfig(kind="length", device=base, start=0.01, stop=stop,
-                      steps=3 * 64 + 17)
+                      steps=steps)
     rows = sweep_length_rows(cfg)
     assert len(rows) == cfg.steps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -103,6 +110,8 @@ def test_block_boundaries_do_not_change_rows(base, stop, monkeypatch):
     statuses = {row["status"] for row in rows}
     assert "ok" in statuses and (base is FIG2 or "device:non-finite"
                                  in statuses and len(statuses) > 3)
+    if steps % 64 == 1:
+        assert rows[-1]["status"] == "device:non-finite"
 
 
 def _transient_bytes(steps: int) -> int:
@@ -177,6 +186,42 @@ def test_parameter_cap_is_a_tagged_domain_error(monkeypatch):
                for row in rows)
     assert all(row["zou_g1"] == row["ou_residual"] == "" for row in rows)
     assert all(row["gamma"] != "" for row in rows)
+
+
+def test_per_tag_counts_of_a_sweep_are_bincounts_of_its_codes(capsys):
+    # the status column shows the stage records: per stage, the count of
+    # each tag is np.bincount of the stage's codes summed over the blocks,
+    # where a row the device fails shows the device's tag alone
+    assert cli.main(["sweep-length", "--gamma1", "1", "--gamma2", "1",
+                     "--kappa", "0.5", "--from", "0.01", "--to", "30",
+                     "--steps", "1100"]) == cli.EXIT_OK
+    statuses = [line.rsplit(",", 1)[1]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(statuses) == 1100
+    counted = Counter(tag for status in statuses if status != "ok"
+                      for tag in status.split(";"))
+    grid = SweepConfig(kind="length", device=ABOVE, start=0.01, stop=30.0,
+                       steps=1100).grid()
+    totals: dict = {}
+    ok = 0
+    for start in range(0, len(grid), BLOCK):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, device, stages = cli._length_block(ABOVE,
+                                                  grid[start:start + BLOCK])
+        shown = [("device", device)] + [
+            (prefix, np.where(device == 0, codes, 0))
+            for prefix, codes in stages]
+        for prefix, codes in shown:
+            assert codes.dtype == np.uint8
+            totals[prefix] = totals.get(prefix, 0) + np.bincount(
+                codes, minlength=len(ERRORS))
+        ok += int(np.all([codes == 0 for _, codes in shown], axis=0).sum())
+    expected = Counter({f"{prefix}:{ERRORS[code].tag}": int(n)
+                        for prefix, counts in totals.items()
+                        for code, n in enumerate(counts) if code and n})
+    assert counted == expected and statuses.count("ok") == ok
+    assert len(expected) >= 4 and {key.split(":")[0] for key in expected} \
+        >= {"zou", "ou"}
 
 
 def test_sweep_range_outside_the_device_domain_is_a_usage_error():

@@ -20,7 +20,7 @@ from coupledpdc.device import (
     stack_failures,
     transfer_matrix,
 )
-from coupledpdc.errors import NonFiniteMatrixError, PdcModelError
+from coupledpdc.errors import ERRORS, NonFiniteMatrixError, PdcModelError
 from coupledpdc.linalg import atan2, atanh, cosh, sinh
 from coupledpdc.moments import square
 
@@ -144,7 +144,7 @@ def test_an_overflowed_generator_gives_a_non_finite_matrix():
     assert np.isinf(a.imag).any() and not a.real.any()
     m = expm(a[None])
     assert not np.isfinite(m).all()
-    assert isinstance(stack_failures(m)[0], NonFiniteMatrixError)
+    assert ERRORS[stack_failures(m)[0]] is NonFiniteMatrixError
     with pytest.raises(ValueError, match="continuous device"):
         expm(nan_real)
 
@@ -210,6 +210,57 @@ def test_no_function_or_record_takes_a_threshold_override():
         assert "tol" not in names, obj.__qualname__
     for record in (device.TransferMatrix, cli.SweepConfig):
         assert "tol" not in [f.name for f in dataclasses.fields(record)]
+
+
+def test_each_failure_is_one_code_and_every_record_holds_codes():
+    # one table owns the codes: each error class is one row with its own
+    # tag, a batch of one raises the class of its code, and every batched
+    # check records uint8 codes, never exception objects
+    from coupledpdc import decompose, errors, fock, moments, whichway
+    from coupledpdc.device import transfer_stack
+    classes = [getattr(errors, name) for name in errors.__all__]
+    classes = [c for c in classes if c is not PdcModelError]
+    classes.append(errors._NormDriftError)  # the number-basis norm check
+    assert issubclass(errors._NormDriftError, ArithmeticError)
+    assert ERRORS[0] is None and len(ERRORS) == len(classes) + 1
+    assert [ERRORS.count(c) for c in classes] == [1] * len(classes)
+    tags = [c.tag for c in classes]
+    assert all(tags) and len(set(tags)) == len(tags)
+    errors.raise_first(errors.no_failures(1))
+    for code, error in enumerate(ERRORS[1:], 1):
+        record = errors.no_failures(1)
+        errors.flag(record, np.ones(1, dtype=bool), error)
+        assert record[0] == code
+        with pytest.raises(error) as info:
+            errors.raise_first(record)
+        assert type(info.value) is error and str(info.value) == error.message
+
+    basis = fock.FockBasis.build(2)
+    generator = fock.build_generator(ContinuousDevice(1.0, 1.0, 2.5, 0.0),
+                                     basis)
+    states, evolved = fock.evolve_stack(generator, basis,
+                                        np.array([0.05, 3.0, 1.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = transfer_stack(ContinuousDevice(1.0, 1.0, 0.5, 0.0),
+                           np.array([0.0, 1.0, 30.0, 800.0]))
+        ms = moments.vacuum_moments(m)
+        zou = decompose.four_converter_stack(m, ms, ms.failed)
+        records = {
+            "stack_failures": stack_failures(m),
+            "vacuum_moments": ms.failed,
+            "coherence_of": moments.coherence_of(ms, ms.failed)[1],
+            "four_converter_stack": zou.failed,
+            "interferometer_stack": decompose.interferometer_stack(
+                m, ms, ms.failed).failed,
+            "geometry_stack": whichway.geometry_stack(
+                *(zou.params[g] for g in ("g1", "g2", "g4", "g5")))[1],
+            "evolve_stack": evolved,
+            "moments_stack": fock.moments_stack(states).failed,
+        }
+    for name, record in records.items():
+        assert record.dtype == np.uint8 and record.shape == (4,), name
+    assert records["stack_failures"][-1] == ERRORS.index(NonFiniteMatrixError)
+    assert ERRORS[evolved[1]].tag == "leakage"
 
 
 def test_each_exported_name_is_listed_once_in_one_module():
