@@ -14,17 +14,19 @@ The four-converter couplings follow from closed-form ``tanh`` inversions
 of the output moments.  The interferometer scheme is the Bloch-Messiah
 factorization of the device (passive, squeezers, passive; on vacuum input
 the first passive stage does nothing), read from one singular-value
-decomposition of the 2x2 pair-correlation matrix.  Either way the
-parameters are checked by back-propagating the output through the inverse
-stages: the largest vacuum moment left over is reported as the extraction
-``residual``, and zero residual certifies that the scheme reproduces the
-device's output state exactly (the leftover matrix is passive, and passive
-stages act trivially on vacuum).
+decomposition of the 2x2 pair-correlation matrix, taken in closed form
+from its Gram matrix.  Either way the parameters are checked by
+back-propagating the output through the inverse stages: the largest
+vacuum moment left over is reported as the extraction ``residual``, and
+zero residual certifies that the scheme reproduces the device's output
+state exactly (the leftover matrix is passive, and passive stages act
+trivially on vacuum).
 
 Both extractions run on a stack of N transfer matrices at once
 (:func:`four_converter_stack`, :func:`interferometer_stack`): ``tanh``
 inversions by :func:`~coupledpdc.linalg.atanh`, batched stage products
-and, for the interferometer, one batched SVD.  Every check records a
+and, for the interferometer, the closed-form 2x2 SVD of
+:func:`_mixer_angles`; no LAPACK routine runs.  Every check records a
 failure code per row (see :mod:`coupledpdc.errors`);
 :func:`extract_four_converter` and :func:`extract_interferometer` are the
 same code on a batch of one, which raises the class of its code.
@@ -311,6 +313,13 @@ def extract_four_converter(tm: TransferMatrix) -> ExtractionReport:
 _EQUAL_SINGULAR = 1e-12
 
 
+def _half_angle(sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
+    """``phi`` in (-pi/2, pi/2] with ``(sin 2phi, cos 2phi)`` proportional
+    to ``(sin2, cos2)``, per row."""
+    phi = 0.5 * atan2(sin2, cos2)
+    return np.where(phi <= -math.pi / 2, phi + math.pi, phi)
+
+
 def _mixer_angle(v0: np.ndarray, v1: np.ndarray, sign: float) -> np.ndarray:
     """Angle in (-pi/2, pi/2] of the mixer column ``(cos phi, sign*i sin
     phi)`` to which ``(v0, v1)`` is proportional, per row.
@@ -319,9 +328,43 @@ def _mixer_angle(v0: np.ndarray, v1: np.ndarray, sign: float) -> np.ndarray:
     and ``2 Im(v1 conj v0)`` (sign * sin 2phi), so neither component's
     phase is fixed and a vanishing component needs no special case.
     """
-    phi = 0.5 * atan2(2.0 * sign * (v1 * np.conj(v0)).imag,
-                      square(np.abs(v0)) - square(np.abs(v1)))
-    return np.where(phi <= -math.pi / 2, phi + math.pi, phi)
+    return _half_angle(2.0 * sign * (v1 * np.conj(v0)).imag,
+                       square(np.abs(v0)) - square(np.abs(v1)))
+
+
+def _mixer_angles(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mixer angles ``(phi_s, phi_i)`` that diagonalize each pair-correlation
+    matrix ``D`` of an ``(N, 2, 2)`` stack: a closed-form 2x2 SVD.
+
+    Each ``D`` is first scaled by a power of two, exactly, so that no
+    square below overflows or underflows.  The right Gram matrix ``D^H D
+    = [[a, conj c], [c, b]]`` has the idler mixer's column ``(cos phi_i,
+    -i sin phi_i)`` as the eigenvector of its larger eigenvalue, so
+    ``tan 2phi_i = -2 Im c / (a - b)``; the signal mixer's column is
+    proportional to ``D`` times that one.  See :func:`interferometer_stack`
+    for the representative taken at equal singular values.
+    """
+    parts = pairs.reshape(-1, 4).view(float)
+    exponent = np.frexp(np.abs(parts).max(axis=1))[1]
+    d = np.ldexp(parts, -exponent[:, None]).view(complex).reshape(-1, 2, 2)
+    power = square(d.real) + square(d.imag)
+    a = power[:, 0, 0] + power[:, 1, 0]
+    b = power[:, 0, 1] + power[:, 1, 1]
+    c = np.conj(d[:, 0, 1]) * d[:, 0, 0] + np.conj(d[:, 1, 1]) * d[:, 1, 0]
+    # (sigma1^2 - sigma2^2) / 2 against (sigma1^2 + sigma2^2) / 2
+    spread = np.hypot(0.5 * (a - b), np.abs(c))
+    equal = spread <= _EQUAL_SINGULAR * 0.5 * (a + b)
+    # equal singular values: D is sigma times a unitary, and with Rs = 1
+    # Ri's first column is proportional to the conjugated first row of D
+    phi_i = np.where(equal,
+                     _mixer_angle(np.conj(d[:, 0, 0]), np.conj(d[:, 0, 1]),
+                                  -1.0),
+                     _half_angle(-2.0 * c.imag, a - b))
+    ci, si = np.cos(phi_i), -1j * np.sin(phi_i)
+    phi_s = np.where(equal, 0.0,
+                     _mixer_angle(d[:, 0, 0] * ci + d[:, 0, 1] * si,
+                                  d[:, 1, 0] * ci + d[:, 1, 1] * si, 1.0))
+    return phi_s, phi_i
 
 
 def interferometer_stack(m: np.ndarray, ms: MomentSet,
@@ -333,10 +376,12 @@ def interferometer_stack(m: np.ndarray, ms: MomentSet,
     d_s1i2], [d_s2i1, d_s2i2]] = M_ss M_is^H`` of the scheme factors as
     ``Rs diag(i cosh g_k sinh g_k) Ri^H``, with ``Rs`` and ``Ri`` the
     forward signal and idler mixers: an SVD of ``D`` with singular values
-    ``sinh(2|g_k|)/2``.  The mixing angles come from the first left and
-    right singular vectors, the signed gains from ``tanh`` inversions
-    after undoing the mixers, and the residual from one final
-    back-propagation.  The cost is the same at every point.
+    ``sinh(2|g_k|)/2``.  The mixing angles come from the first right
+    singular vector, in closed form (:func:`_mixer_angles`), and from
+    ``D`` times it, the first left one; the signed gains from ``tanh``
+    inversions after undoing the mixers, and the residual from one final
+    back-propagation.  The cost is the same at every point, and a failed
+    row's values, however non-finite, do not reach the other rows.
 
     Canonical representative: ``|g1| >= |g2|`` (the larger singular value
     belongs to the first converter; equal to rounding when the singular
@@ -353,21 +398,7 @@ def interferometer_stack(m: np.ndarray, ms: MomentSet,
     d = ms.d
     pairs = np.stack([d["s1i1"], d["s1i2"], d["s2i1"], d["s2i2"]],
                      axis=-1).reshape(-1, 2, 2)
-    # a failed row may hold non-finite moments, which would stop the
-    # batched SVD for every row
-    pairs[failed != 0] = 0.0
-    left, sigma, right_h = np.linalg.svd(pairs)
-    top = sigma[:, 0]
-    equal = top - sigma[:, 1] <= _EQUAL_SINGULAR * top
-    # equal singular values: D is sigma times a unitary, and with Rs = 1
-    # Ri's first column is proportional to the conjugated first row of D
-    first_row = np.conj(pairs[:, 0]) / np.where(top == 0.0, 1.0, top)[:, None]
-    phi_s = np.where(equal, 0.0,
-                     _mixer_angle(left[:, 0, 0], left[:, 1, 0], 1.0))
-    phi_i = np.where(equal,
-                     _mixer_angle(first_row[:, 0], first_row[:, 1], -1.0),
-                     _mixer_angle(np.conj(right_h[:, 0, 0]),
-                                  np.conj(right_h[:, 0, 1]), -1.0))
+    phi_s, phi_i = _mixer_angles(pairs)
     g1, g2, imag, residual, failed = _undo_direct(
         mixer_stage(phi_s, phi_i) @ m, failed)
     _flag_caps(failed, g1, g2)

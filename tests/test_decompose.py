@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupledpdc.cli import (
@@ -12,6 +12,7 @@ from coupledpdc.cli import (
     sweep_psi_rows,
 )
 from coupledpdc.decompose import (
+    _EQUAL_SINGULAR,
     FourConverterScheme,
     InterferometerScheme,
     crossed_stage,
@@ -22,6 +23,8 @@ from coupledpdc.decompose import (
     gain_bound,
     interferometer_matrix,
     mixer_stage,
+    _mixer_angle,
+    _mixer_angles,
 )
 from coupledpdc.device import (
     CascadedDevice,
@@ -274,6 +277,70 @@ def test_random_devices_are_reproduced_by_both_schemes(g1, g2, margin,
             assert got.d[key] == pytest.approx(want.d[key], abs=1e-8)
         for key in want.b:
             assert got.b[key] == pytest.approx(want.b[key], abs=1e-8)
+
+
+EPS = np.finfo(float).eps
+DIAGONAL_BOUND = 128 * EPS  # x max|D|
+ANGLE_BOUND = 16 * EPS  # x sigma1 / (sigma1 - sigma2)
+
+
+@st.composite
+def pair_correlations(draw) -> np.ndarray:
+    """``D = Rs diag(i s1, i s2) Ri^H 2^e`` of random forward mixers: the
+    form of every device's pair-correlation matrix, at scales ``2^-1000``
+    to ``2^1000``, of rank 2, 1 or 0, and with equal or nearly equal
+    singular values."""
+    phi_s = draw(st.floats(-math.pi / 2, math.pi / 2))
+    phi_i = draw(st.floats(-math.pi / 2, math.pi / 2))
+    # |s1| >= 1/2 or 0 keeps a nonzero max|D| above 2^-1002, normal
+    s1 = draw(st.one_of(st.just(0.0), st.floats(0.5, 1.0),
+                        st.floats(-1.0, -0.5)))
+    ratio = draw(st.one_of(
+        st.floats(-2.0, 2.0), st.just(0.0), st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 15.0).map(lambda k: 1.0 - 10.0 ** -k)))
+    s2 = ratio * s1
+    exponent = draw(st.integers(-1000, 1000))
+    forward = mixer_stage(-phi_s, -phi_i)
+    sigma = np.diag([1j * math.ldexp(s1, exponent),
+                     1j * math.ldexp(s2, exponent)])
+    return forward[:2, :2] @ sigma @ np.conj(forward[2:, 2:]).T
+
+
+def _angle_gap(a: float, b: float) -> float:
+    """Distance of two mixer angles modulo pi (``phi`` and ``phi + pi``
+    give the same mixer column up to its sign)."""
+    return abs((a - b + math.pi / 2) % math.pi - math.pi / 2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pair_correlations())
+@example(np.zeros((2, 2), dtype=complex))
+def test_mixer_angles_diagonalize_the_pair_correlations(d):
+    # Rs^H D Ri is diagonal with |diag| descending.  Over 1,000,000 draws
+    # of this form the off-diagonal entries reached 2.2 eps max|D|; on
+    # rows taken as equal (whose angles are a representative, not the
+    # singular vectors) they reached sigma1 - sigma2 plus 33 eps, and
+    # |diag| fell out of order by that gap plus 47 eps.  The bound allows
+    # 128 eps.  Where the singular values are apart, the angles are
+    # LAPACK's to eps sigma1 / (sigma1 - sigma2) times 2 (measured) or 16
+    # (allowed).
+    (phi_s,), (phi_i,) = _mixer_angles(d[None])
+    forward = mixer_stage(-phi_s, -phi_i)
+    x = np.conj(forward[:2, :2]).T @ d @ forward[2:, 2:]
+    left, sigma, right_h = np.linalg.svd(d[None])
+    top, gap = sigma[0, 0], sigma[0, 0] - sigma[0, 1]
+    allowed = DIAGONAL_BOUND * np.abs(d).max()
+    if gap <= 2 * _EQUAL_SINGULAR * top:
+        allowed += gap
+    assert max(abs(x[0, 1]), abs(x[1, 0])) <= allowed
+    assert abs(x[1, 1]) <= abs(x[0, 0]) + allowed
+    if gap > 1e-6 * top:
+        want_s = _mixer_angle(left[:, 0, 0], left[:, 1, 0], 1.0)[0]
+        want_i = _mixer_angle(np.conj(right_h[:, 0, 0]),
+                              np.conj(right_h[:, 0, 1]), -1.0)[0]
+        allowed = ANGLE_BOUND / (gap / top)
+        assert _angle_gap(phi_s, want_s) <= allowed
+        assert _angle_gap(phi_i, want_i) <= allowed
 
 
 def test_interferometer_coherence_formula_matches_direct():

@@ -277,6 +277,23 @@ def test_a_length_sweep_calls_expm_once_per_block(monkeypatch):
         assert np.array_equal(stack, 1j * h * lengths[:, None, None])
 
 
+def test_a_sweep_block_calls_no_lapack_routine(monkeypatch, capsys):
+    # every stage of a block is a closed form, the interferometer's 2x2
+    # SVD included: a batched numpy.linalg.svd would load LAPACK's
+    # workspaces into every sweep process
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on a sweep path")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    fig2 = ["sweep-length", "--preset", "fig2", "--steps", str(BLOCK)]
+    for argv, rows in ((fig2, BLOCK), (["sweep-psi", "--preset", "fig7"],
+                                       PRESETS["fig7"]["steps"])):
+        assert cli.main(argv) == cli.EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+
+
 def _csv_of_main(argv, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()

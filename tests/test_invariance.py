@@ -33,12 +33,12 @@ and the device's matrix is ``M = exp(i H L)``.  Three relations follow.
     occupations by at most 3,779 eps ``max(1, n)``; the bounds below
     allow 4,096 and 8,192.  Two of those devices changed tags, both with
     subnormal gains (``5e-324``), where ``c g`` rounds far from the
-    scaled gain and the interferometer extraction reads ``non-finite``
-    on one side only: a fault of extraction at extreme scales (ROADMAP
-    item 5), which the derandomized examples here do not draw.  The
-    extracted schemes' parameters are left out: at ill-conditioned rows
-    they moved by up to 2e6 eps (the gains) and across the
-    ``(-pi/2, pi/2]`` seam (the angles).
+    scaled gain and the interferometer extraction read ``non-finite`` on
+    one side only, until it scaled its pair correlations by a power of
+    two; both are pinned below, since the derandomized examples here do
+    not draw them.  The extracted schemes' parameters are left out: at
+    ill-conditioned rows they moved by up to 2e6 eps (the gains) and
+    across the ``(-pi/2, pi/2]`` seam (the angles).
 (c) ``g1 <-> g2``.  With ``Q`` the permutation ``s1 <-> s2``, ``i1 <->
     i2``, ``Q H(g1, g2, kappa) Q = H(g2, g1, kappa)``, so ``M(g2, g1) = Q
     M(g1, g2) Q``: ``n_s1`` and ``n_s2`` swap, and ``<A_s1^+ A_s2>`` becomes
@@ -76,6 +76,7 @@ by up to 29,340 eps.  The bounds below allow 8 eps and 1,024 eps
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,6 +164,19 @@ def test_rescaling_by_any_factor_keeps_tags_and_values_within_bounds(sweep,
     scale = np.divide(1.0, np.sqrt(low), out=np.ones_like(low), where=low > 0)
     _assert_close(_values(scaled["gamma"]), _values(base["gamma"]),
                   RESCALED_GAMMA_BOUND * np.maximum(1.0, scale))
+
+
+@pytest.mark.parametrize("gain, kappa, stop, c", [
+    (5e-324, -0.41012717056714865, 0.5, 1.6397922881961071),
+    (-5e-324, -1.5939473279733423, 1.9, 0.1266),
+], ids=["gains-round-up", "gains-round-to-zero"])
+def test_subnormal_gains_get_the_tags_of_their_rescaling(gain, kappa, stop,
+                                                         c):
+    # c g rounds to 1e-323 and to -0.0: the interferometer extraction
+    # squares the pair correlations, which underflow unless scaled first
+    base = _cells(gain, gain, kappa, stop)
+    scaled = _cells(c * gain, c * gain, c * kappa, stop / c)
+    assert scaled["status"] == base["status"] == ["ok"] * 64
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
