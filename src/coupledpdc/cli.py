@@ -29,11 +29,13 @@ in :data:`coupledpdc.errors.ERRORS` carries.  The block size does not
 change any result: each row is bit-identical to the same point computed
 on its own through the single-point functions, which are batches of one.
 
-The output is assembled by column, a block at a time: one list of cells
-per column, the status cells built only for the rows where a check
-failed.  The CLI writes a block's lines before the next block is
-computed; a library sweep extends a :class:`Rows` from the same blocks,
-which callers read one row (a ``{column: cell}`` dict) at a time.
+The output is built as text, a block at a time, by
+:func:`coupledpdc.csvtext.lines`: the selected columns go in as arrays
+with their failure codes, and the status cells are built only for the
+rows where a check failed.  No sweep cell goes through ``repr``.  The
+CLI writes a block's lines before the next block is computed; a library
+sweep splits the same text into a :class:`Rows`, which callers read one
+row (a ``{column: cell}`` dict) at a time.
 """
 
 from __future__ import annotations
@@ -189,35 +191,23 @@ def _fmt(value: float) -> str:
 
 
 #: Grid points per pass of the sweep engine.  The CLI holds one block's
-#: stacks and cells, a tracemalloc peak of about 1.1 MB on fig2, however
+#: stacks and text, a tracemalloc peak of about 1.8 MB on fig2, however
 #: many steps a sweep has; a library sweep also holds its output cells.
 BLOCK = 512
 
 
-def _column(values: np.ndarray) -> List[str]:
-    """:func:`_fmt` of each value."""
-    return list(map(repr, (values + 0.0).tolist()))
-
-
-def _cells(values: np.ndarray, failed: np.ndarray) -> List[str]:
-    """One column of a block, empty where the row failed."""
-    cells = _column(values)
-    for i in np.flatnonzero(failed):
-        cells[i] = ""
-    return cells
-
-
-def _scheme_cells(prefix: str, scheme: SchemeStack) -> Dict[str, List[str]]:
-    cells = {f"{prefix}_{name.replace('_', '')}": _cells(values, scheme.failed)
-             for name, values in scheme.params.items()}
-    cells[f"{prefix}_residual"] = _cells(scheme.residual, scheme.failed)
-    return cells
+def _scheme_columns(prefix: str, scheme: SchemeStack) -> dict:
+    params = {**scheme.params, "residual": scheme.residual}
+    return {f"{prefix}_{name.replace('_', '')}": (values, scheme.failed)
+            for name, values in params.items()}
 
 
 def _length_block(dev: ContinuousDevice, lengths: np.ndarray):
-    """Cells, device failures and (stage, failures) of one block of a
-    length sweep; a failure of the moments is the device's, and an
-    undefined coherence an empty cell with ``gamma_defined = 0``."""
+    """Column values, device failures and (stage, failures) of one block
+    of a length sweep.  Each column is a ``(values, failed)`` pair, its
+    cell empty where ``failed`` is nonzero; a failure of the moments is
+    the device's, and an undefined coherence an empty cell with
+    ``gamma_defined = 0``."""
     from . import decompose as dec
     from . import whichway as ww
     m = transfer_stack(dev, lengths)
@@ -228,19 +218,18 @@ def _length_block(dev: ContinuousDevice, lengths: np.ndarray):
     ou = dec.interferometer_stack(m, ms, device)
     geo, geo_failed = ww.geometry_stack(*(zou.params[g] for g in
                                           ("g1", "g2", "g4", "g5")))
-    defined = np.where(gamma_failed == 0, "1", "0")
     undefined = gamma_failed == ERRORS.index(UndefinedCoherenceError)
-    cells = {
-        "gamma": _cells(coh.gamma, gamma_failed),
-        "gamma_defined": np.where(device == 0, defined, "").tolist(),
-        "n_s1": _cells(ms.b["s1"], device),
-        "n_s2": _cells(ms.b["s2"], device),
-        "n_total_signal": _cells(ms.b["s1"] + ms.b["s2"], device),
-        "uv_angle": _cells(geo.angle, first_of(zou.failed, geo_failed)),
-        **_scheme_cells("zou", zou), **_scheme_cells("ou", ou),
+    columns = {
+        "gamma": (coh.gamma, gamma_failed),
+        "gamma_defined": (gamma_failed == 0, device),
+        "n_s1": (ms.b["s1"], device),
+        "n_s2": (ms.b["s2"], device),
+        "n_total_signal": (ms.b["s1"] + ms.b["s2"], device),
+        "uv_angle": (geo.angle, first_of(zou.failed, geo_failed)),
+        **_scheme_columns("zou", zou), **_scheme_columns("ou", ou),
     }
-    return cells, device, [("gamma", np.where(undefined, 0, gamma_failed)),
-                           ("zou", zou.failed), ("ou", ou.failed)]
+    return columns, device, [("gamma", np.where(undefined, 0, gamma_failed)),
+                             ("zou", zou.failed), ("ou", ou.failed)]
 
 
 def _psi_block(dev: CascadedDevice, psis: np.ndarray):
@@ -254,23 +243,21 @@ def _psi_block(dev: CascadedDevice, psis: np.ndarray):
     upstream = first_of(device, ms.failed)
     coh, gamma_failed = mom.coherence_of(ms, upstream)
     ou = dec.interferometer_stack(m, ms, upstream)
-    cells = {"gamma": _cells(-coh.gamma, gamma_failed),
-             **_scheme_cells("ou", ou)}
-    return cells, device, [("gamma", gamma_failed), ("ou", ou.failed)]
+    columns = {"gamma": (-coh.gamma, gamma_failed),
+               **_scheme_columns("ou", ou)}
+    return columns, device, [("gamma", gamma_failed), ("ou", ou.failed)]
 
 
-def _status(device: np.ndarray, stages) -> List[str]:
-    """Status cells: the device's tag alone, else the tags of the failed
-    stages joined by ``;``, else ``ok``."""
+def _status(device: np.ndarray, stages):
+    """The rows whose status is not ``ok``, as a mask, and their status
+    cells: the device's tag alone, else the failed stages' joined by
+    ``;``."""
     shown = [("device", device)] + [(prefix, np.where(device == 0, codes, 0))
                                     for prefix, codes in stages]
-    rows = np.flatnonzero(np.any([codes for _, codes in shown], axis=0))
+    failed = np.any([codes for _, codes in shown], axis=0)
     tags = [[f"{prefix}:{ERRORS[code].tag}" if code else ""
-             for code in codes[rows].tolist()] for prefix, codes in shown]
-    out = ["ok"] * len(device)
-    for i, row in zip(rows.tolist(), zip(*tags)):
-        out[i] = ";".join(filter(None, row))
-    return out
+             for code in codes[failed].tolist()] for prefix, codes in shown]
+    return failed, [";".join(filter(None, row)) for row in zip(*tags)]
 
 
 class Rows(abc.Sequence):
@@ -294,33 +281,37 @@ class Rows(abc.Sequence):
         return {c: self.cells[c][index] for c in self.columns}
 
 
-def _sweep_blocks(cfg: SweepConfig, columns: Sequence[str], block):
-    """Each block's CSV cells, a ``{column: cells}`` dict, in grid order.
+def _sweep_blocks(cfg: SweepConfig, columns: Sequence[str], block,
+                  names: Sequence[str]):
+    """Each block's CSV lines of the ``names`` columns, in grid order.
 
     The grid goes through ``block`` :data:`BLOCK` points at a time.  No
     point aborts the sweep: a failure leaves the affected columns empty
     and the status column carries a tag (``device:`` when the transfer
     matrix or its occupations already fail).  A block is dropped before
-    the next one is computed, so a consumer that drops it too holds one.
+    the next one is computed, so a consumer that drops its text holds one.
     """
+    from . import csvtext
     grid = cfg.grid()
     for start in range(0, len(grid), BLOCK):
         values = grid[start:start + BLOCK]
         # overflow far above threshold is caught and tagged, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cells, device, stages = block(cfg.device, values)
-        cells[columns[0]] = _column(values)
-        cells["status"] = _status(device, stages)
-        yield cells
+        cells[columns[0]] = (values, None)
+        status = _status(device, stages) if "status" in names else None
+        yield csvtext.lines([cells[c] for c in names if c != "status"],
+                            status)
         del cells, device, stages
 
 
 def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> Rows:
     """The cells of every grid point (see :func:`_sweep_blocks`)."""
     rows = Rows(columns, {c: [] for c in columns})
-    for cells in _sweep_blocks(cfg, columns, block):
-        for c in columns:
-            rows.cells[c].extend(cells[c])
+    for text in _sweep_blocks(cfg, columns, block, columns):
+        for c, cells in zip(columns, zip(*(line.split(",") for line in
+                                           text.splitlines()))):
+            rows.cells[c].extend(cells)
     return rows
 
 
@@ -335,12 +326,6 @@ def sweep_psi_rows(cfg: SweepConfig) -> Rows:
     :func:`_sweep_rows`); the raw coherence of the cascade construction
     is negated so that full alignment reports +1."""
     return _sweep_rows(cfg, PSI_COLUMNS, _psi_block)
-
-
-def _csv_lines(names: Sequence[str], cells: Dict[str, List[str]]) -> str:
-    """One LF-ended CSV line per row of the ``names`` columns of ``cells``."""
-    return "".join([line + "\n" for line in
-                    map(",".join, zip(*(cells[c] for c in names)))])
 
 
 def _write(fh, texts: abc.Iterable[str]) -> None:
@@ -363,7 +348,8 @@ def render_csv(rows: Rows, selected: Optional[Sequence[str]] = None) -> str:
     """CSV text of ``rows``: the header, then one line per row, of the
     ``selected`` columns (all by default) in the sweep's column order."""
     names = [c for c in rows.columns if selected is None or c in selected]
-    return ",".join(names) + "\n" + _csv_lines(names, rows.cells)
+    return "".join([",".join(row) + "\n" for row in
+                    [names, *zip(*(rows.cells[c] for c in names))]])
 
 
 def _describe(columns: Sequence[str]) -> str:
@@ -485,8 +471,8 @@ def _cmd_sweep(args, kind: str) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     names = [c for c in columns if selected is None or c in selected]
-    lines = map(lambda cells: _csv_lines(names, cells), _sweep_blocks(
-        cfg, columns, _length_block if kind == "length" else _psi_block))
+    lines = _sweep_blocks(cfg, columns, _length_block if kind == "length"
+                          else _psi_block, names)
     with out as fh:
         # the header goes with the first block: one write for one block
         _write(fh, [",".join(names) + "\n" + next(lines)])

@@ -499,6 +499,18 @@ def test_each_command_imports_only_the_modules_it_runs(argv, absent,
     assert code == str(EXIT_OK)
     assert {"coupledpdc.cli", "coupledpdc.moments"} <= set(loaded)
     assert not {f"coupledpdc.{name}" for name in absent} & set(loaded)
+    # only the sweeps format CSV cells; the other commands print by repr
+    assert ("coupledpdc.csvtext" in loaded) == argv[0].startswith("sweep-")
+
+
+def test_importing_the_cli_loads_no_csv_formatter(child_env):
+    # the formatter's tables are built at its import, which only a sweep
+    # pays for
+    code = ("import sys, coupledpdc.cli; "
+            "print('coupledpdc.csvtext' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_decompose_needs_exactly_one_device(capsys):

@@ -1,11 +1,16 @@
 """The batched sweep engine: block invariance, memory, status tags, and
 the names the benchmark's tracer reaches into."""
 
+import contextlib
+import functools
+import io
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coupledpdc.cli as cli
 from coupledpdc import decompose, moments
@@ -342,3 +347,47 @@ def test_rows_and_csv_are_two_views_of_one_engine(preset, steps, capsys,
         assert capsys.readouterr().out == text
         assert cli.main(argv + chosen + ["--out", str(out)]) == cli.EXIT_OK
         assert out.read_bytes() == text.encode()
+
+
+#: The sweeps whose column subsets are checked against the full CSV:
+#: fig2, fig7 and the above-threshold device
+SUBSET_SWEEPS = (
+    ("sweep-length", "--preset", "fig2"),
+    ("sweep-psi", "--preset", "fig7"),
+    ("sweep-length", "--gamma1", "1", "--gamma2", "1", "--kappa", "0.5",
+     "--from", "0.01", "--to", "30", "--steps", "1100"),
+)
+
+
+def _columns_of_main(argv) -> dict:
+    """``{column: cells}`` of the CSV that ``cli.main(argv)`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == cli.EXIT_OK
+    header, *lines = out.getvalue().splitlines()
+    return dict(zip(header.split(","),
+                    zip(*(line.split(",") for line in lines))))
+
+
+_full_columns = functools.lru_cache(maxsize=None)(_columns_of_main)
+
+
+@st.composite
+def column_subsets(draw):
+    argv = draw(st.sampled_from(SUBSET_SWEEPS))
+    columns = LENGTH_COLUMNS if argv[0] == "sweep-length" else PSI_COLUMNS
+    return argv, draw(st.lists(st.sampled_from(columns), min_size=1,
+                               unique=True))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(column_subsets())
+def test_a_selected_column_is_the_full_csvs_column(subset):
+    # only the selected columns are formatted; a cell's bytes never depend
+    # on which other columns are selected
+    argv, selected = subset
+    full = _full_columns(argv)
+    got = _columns_of_main(argv + ("--columns", ",".join(selected)))
+    assert list(got) == [c for c in full if c in selected]
+    for column in selected:
+        assert got[column] == full[column], column
