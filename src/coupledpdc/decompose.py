@@ -24,12 +24,14 @@ trivially on vacuum).
 
 Both extractions run on a stack of N transfer matrices at once
 (:func:`four_converter_stack`, :func:`interferometer_stack`): ``tanh``
-inversions by :func:`~coupledpdc.linalg.atanh`, batched stage products
-and, for the interferometer, the closed-form 2x2 SVD of
-:func:`_mixer_angles`; no LAPACK routine runs.  Every check records a
-failure code per row (see :mod:`coupledpdc.errors`);
-:func:`extract_four_converter` and :func:`extract_interferometer` are the
-same code on a batch of one, which raises the class of its code.
+inversions by ``np.arctanh``, batched stage products and, for the
+interferometer, the closed-form 2x2 SVD of :func:`_mixer_angles`; no
+LAPACK routine runs.  The last digits of the parameters follow the
+element-wise loops numpy selects for the CPU and the BLAS kernel of the
+stage products.  Every check records a failure code per row (see
+:mod:`coupledpdc.errors`); :func:`extract_four_converter` and
+:func:`extract_interferometer` are the same code on a batch of one, which
+raises the class of its code.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ from .errors import (
     flag,
     raise_first,
 )
-from .linalg import atan2, atanh, cosh, sinh
-from .moments import MomentSet, square, vacuum_moments
+from .moments import MomentSet, vacuum_moments
 
 __all__ = [
     "FourConverterScheme",
@@ -178,14 +179,14 @@ def _stage(entries: dict) -> np.ndarray:
 
 def crossed_stage(g4, g5) -> np.ndarray:
     """Undo the crossed converter pair (s1-i2 coupling g4, s2-i1 g5)."""
-    c4, s4, c5, s5 = cosh(g4), sinh(g4), cosh(g5), sinh(g5)
+    c4, s4, c5, s5 = np.cosh(g4), np.sinh(g4), np.cosh(g5), np.sinh(g5)
     return _stage({(0, 0): c4, (0, 3): -s4, (1, 1): c5, (1, 2): -s5,
                    (2, 1): -s5, (2, 2): c5, (3, 0): -s4, (3, 3): c4})
 
 
 def direct_stage(g1, g2) -> np.ndarray:
     """Undo the direct converter pair (s1-i1 coupling g1, s2-i2 g2)."""
-    c1, s1, c2, s2 = cosh(g1), sinh(g1), cosh(g2), sinh(g2)
+    c1, s1, c2, s2 = np.cosh(g1), np.sinh(g1), np.cosh(g2), np.sinh(g2)
     return _stage({(0, 0): c1, (0, 2): -1j * s1, (1, 1): c2, (1, 3): -1j * s2,
                    (2, 0): 1j * s1, (2, 2): c1, (3, 1): 1j * s2, (3, 3): c2})
 
@@ -219,7 +220,7 @@ def _invert_tanh(arg: np.ndarray,
     flag(failed, over & (np.abs(x) - 1.0 > TOL.tanh_overshoot),
          TanhDomainError)
     x = np.where(over, np.copysign(1.0 - TOL.tanh_clamp, x), x)
-    return 0.5 * atanh(x), imag
+    return 0.5 * np.arctanh(x), imag
 
 
 def _undo_direct(partial: np.ndarray, failed: np.ndarray):
@@ -316,7 +317,7 @@ _EQUAL_SINGULAR = 1e-12
 def _half_angle(sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
     """``phi`` in (-pi/2, pi/2] with ``(sin 2phi, cos 2phi)`` proportional
     to ``(sin2, cos2)``, per row."""
-    phi = 0.5 * atan2(sin2, cos2)
+    phi = 0.5 * np.arctan2(sin2, cos2)
     return np.where(phi <= -math.pi / 2, phi + math.pi, phi)
 
 
@@ -329,7 +330,7 @@ def _mixer_angle(v0: np.ndarray, v1: np.ndarray, sign: float) -> np.ndarray:
     phase is fixed and a vanishing component needs no special case.
     """
     return _half_angle(2.0 * sign * (v1 * np.conj(v0)).imag,
-                       square(np.abs(v0)) - square(np.abs(v1)))
+                       np.abs(v0) ** 2 - np.abs(v1) ** 2)
 
 
 def _mixer_angles(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +348,7 @@ def _mixer_angles(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts = pairs.reshape(-1, 4).view(float)
     exponent = np.frexp(np.abs(parts).max(axis=1))[1]
     d = np.ldexp(parts, -exponent[:, None]).view(complex).reshape(-1, 2, 2)
-    power = square(d.real) + square(d.imag)
+    power = d.real ** 2 + d.imag ** 2
     a = power[:, 0, 0] + power[:, 1, 0]
     b = power[:, 0, 1] + power[:, 1, 1]
     c = np.conj(d[:, 0, 1]) * d[:, 0, 0] + np.conj(d[:, 1, 1]) * d[:, 1, 0]

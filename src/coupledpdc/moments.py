@@ -119,26 +119,11 @@ _PAIR_K = np.array([[4 * k + c, 4 * k + c + 1] for _, k, c in _PAIRS.values()])
 _MODE_J = np.array([[4 * j + c, 4 * j + c + 1] for j, c in _MODES.values()])
 
 
-def square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` as :func:`math.pow` computes it, by the C library's
-    ``pow``, below 1e300; at or above, on rows that overflow anyway,
-    ``x * x``.
-
-    numpy's array ``x ** 2`` (and ``np.power``) is ``x * x``, which differs
-    from ``pow`` on about 0.1 % of inputs, while ``np.float_power``'s double
-    loop calls the C library's ``pow`` itself, bit for bit.  Near the edge
-    of the tanh inversion domain such an ulp grows until it decides a
-    row's status.
-    """
-    out = np.asarray(x * x)
-    return np.float_power(x, 2.0, out=out, where=out < 1e300)
-
-
 def _stack(m: np.ndarray) -> MomentSet:
     """Moments of each matrix of an ``(N, 4, 4)`` stack, with failures."""
     flat = m.reshape(len(m), 16)
     terms = flat[:, _PAIR_J] * np.conj(flat[:, _PAIR_K])
-    squares = square(np.abs(flat[:, _MODE_J]))
+    squares = np.abs(flat[:, _MODE_J]) ** 2
     d = dict(zip(_PAIRS, (terms[:, :, 0] + terms[:, :, 1]).T))
     b = dict(zip(_MODES, (squares[:, :, 0] + squares[:, :, 1]).T))
     signal = b["s1"] + b["s2"]

@@ -36,7 +36,6 @@ from .errors import (
     no_failures,
     raise_first,
 )
-from .linalg import atan2
 
 __all__ = [
     "PairState",
@@ -136,7 +135,7 @@ def geometry_stack(g1: np.ndarray, g2: np.ndarray, g4: np.ndarray,
     flag(failed, (u2 == 0.0) & (v2 == 0.0), ZeroSchemeError)
     return WhichWayGeometry(
         u=u, v=v, dot=dot, cross=cross,
-        angle=np.where(degenerate, 0.0, atan2(cross, dot)),
+        angle=np.where(degenerate, 0.0, np.arctan2(cross, dot)),
         gamma_sq=np.where(degenerate, 1.0,
                           dot * dot / np.where(degenerate, 1.0, u2 * v2)),
         degenerate=degenerate,

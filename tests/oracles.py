@@ -42,17 +42,39 @@ def taylor_expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def mpmath_transfer_matrix(g1: float, g2: float, kappa: float,
-                           length: float) -> np.ndarray:
+def mpmath_device_matrix(g1: float, g2: float, kappa: float,
+                         length: float) -> mpmath.matrix:
     """``exp(iHL)`` of the continuous device by mpmath's ``expm`` at 50
     digits, from the exact binary values of the arguments (their products
-    are exact at that precision), correctly rounded to complex128."""
+    are exact at that precision)."""
     with mpmath.workdps(50):
         h = mpmath.matrix([[0, 0, g1, 0], [0, 0, 0, g2],
                            [-g1, 0, 0, -kappa], [0, -g2, -kappa, 0]])
-        m = mpmath.expm(h * (1j * mpmath.mpf(length)))
-        return np.array([[complex(m[i, j]) for j in range(4)]
-                         for i in range(4)])
+        return mpmath.expm(h * (1j * mpmath.mpf(length)))
+
+
+def rounded(m: mpmath.matrix) -> np.ndarray:
+    """A 4x4 mpmath matrix correctly rounded to complex128."""
+    return np.array([[complex(m[i, j]) for j in range(4)] for i in range(4)])
+
+
+def mpmath_transfer_matrix(g1: float, g2: float, kappa: float,
+                           length: float) -> np.ndarray:
+    """:func:`mpmath_device_matrix`, :func:`rounded`."""
+    return rounded(mpmath_device_matrix(g1, g2, kappa, length))
+
+
+def mpmath_interferometer_gains(m: mpmath.matrix) -> list:
+    """``|g_k| = asinh(2 sigma_k) / 2``, larger first, from the singular
+    values ``sigma_k`` of the pair-correlation matrix ``D = M_ss M_is^H``
+    of an mpmath transfer matrix, at 50 digits."""
+    with mpmath.workdps(50):
+        d = mpmath.matrix([[m[j, 0] * mpmath.conj(m[k, 0])
+                            + m[j, 1] * mpmath.conj(m[k, 1]) for k in (2, 3)]
+                           for j in (0, 1)])
+        sigma = mpmath.svd_c(d, compute_uv=False)
+        return sorted((float(mpmath.asinh(2 * s) / 2) for s in sigma),
+                      reverse=True)
 
 
 def symplectic_residual(m: np.ndarray) -> float:

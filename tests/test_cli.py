@@ -478,7 +478,7 @@ def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse(child_env):
     (["sweep-length", "--preset", "fig2", "--steps", "50"], {"fock"}),
     (["sweep-psi", "--preset", "fig7"], {"fock", "whichway"}),
     (["oracle-check", "--preset", "fig2", "--nmax", "4"],
-     {"decompose", "whichway", "linalg"}),
+     {"decompose", "whichway"}),
     (["decompose", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
       "--length", "1"], {"fock"}),
     (["-h"], {"fock"}),

@@ -7,17 +7,21 @@ engine, the other four by the closed-form transfer matrix.  The panel
 covers both presets and the numerically hard regimes: above threshold up
 to the overflow of ``exp(iHL)``, at threshold, and a converter without
 gain.  The intensities and the coherence of every ``ok`` row of a length
-sweep agree with mpmath's ``exp(iHL)`` to 1e-10, so the goldens pin true
-values, not the rounding of whichever exponential wrote them.
+sweep agree with mpmath's ``exp(iHL)`` to 1e-10, and its interferometer
+gains with the singular values of mpmath's pair-correlation matrix to
+``GAIN_RTOL``, so the goldens pin true values, not the rounding of
+whichever exponential or element-wise loop wrote them.
 
 The contract: ``status``, the grid column and ``gamma_defined`` are
 byte-identical; every other non-empty cell agrees to 1e-12 relative, and
 empty cells stay empty; each residual cell is at most 1e-14 (except on
 rows whose golden residual is already larger: near threshold it is set
 by rounding, and the identical status keeps it within the extraction's
-limit).  The engine reproduces every cell of the panel byte for byte but
-in ``gamma2_zero.csv``, whose last digits moved with the closed form; the
-tolerances leave room for such last-ulp changes of the arithmetic.
+limit).  ``at_threshold.csv`` and ``above_threshold_to30.csv`` were last
+written with numpy's ``arctanh``, ``cosh``, ``sinh`` and ``arctan2``
+loops in the extractions; in the other goldens the last digits of some
+cells have moved since, and the tolerances leave room for such last-ulp
+changes of the arithmetic.
 """
 
 from pathlib import Path
@@ -27,7 +31,8 @@ import pytest
 
 from coupledpdc.cli import _fill_preset, build_parser, main
 
-from oracles import mpmath_transfer_matrix
+from oracles import (mpmath_device_matrix, mpmath_interferometer_gains,
+                     rounded)
 
 GOLDEN = Path(__file__).parent / "golden"
 ABOVE = ["--gamma1", "1", "--gamma2", "1", "--kappa", "0.5", "--from", "0.01"]
@@ -46,6 +51,10 @@ PANEL = {
                         "--steps", "50"],
 }
 EXACT = ("L", "psi", "status", "gamma_defined")
+#: Relative bound on the interferometer gains against mpmath.  The worst
+#: golden cell is 1.44e-7, at threshold, where ``atanh`` inverts an
+#: argument near 1; below threshold the gains agree to 4e-13.
+GAIN_RTOL = 2e-7
 
 
 def _table(path):
@@ -82,8 +91,9 @@ def test_golden_rows_agree_with_mpmath(name):
         cell = dict(zip(header, row))
         if cell["status"] != "ok":
             continue
-        m = mpmath_transfer_matrix(params["gamma1"], params["gamma2"],
-                                   params["kappa"], float(cell["L"]))
+        exact = mpmath_device_matrix(params["gamma1"], params["gamma2"],
+                                     params["kappa"], float(cell["L"]))
+        m = rounded(exact)
         n1 = abs(m[0, 2]) ** 2 + abs(m[0, 3]) ** 2
         n2 = abs(m[1, 2]) ** 2 + abs(m[1, 3]) ** 2
         where = f"{name} L={cell['L']}"
@@ -93,5 +103,10 @@ def test_golden_rows_agree_with_mpmath(name):
             cross = np.conj(m[0, 2]) * m[1, 2] + np.conj(m[0, 3]) * m[1, 3]
             gamma = (-1j * cross / np.sqrt(n1 * n2)).real
             assert abs(float(cell["gamma"]) - gamma) <= 1e-10, where
+        gains = mpmath_interferometer_gains(exact)
+        for column, gain in zip(("ou_g1", "ou_g2"), gains):
+            # plus the 50-digit noise of a vanishing singular value
+            assert abs(abs(float(cell[column])) - gain) <= (
+                GAIN_RTOL * gain + 1e-40 * gains[0]), f"{where} {column}"
         checked += 1
     assert checked > 0
