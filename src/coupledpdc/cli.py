@@ -1,41 +1,31 @@
 """Command-line front end: parameter sweeps, oracle checks, extraction dumps.
 
-Four subcommands:
+``sweep-length`` and ``sweep-psi`` write one CSV row per grid point of
+the continuous device's interaction length or of the cascaded device's
+idler alignment angle; ``oracle-check`` compares the transfer-matrix
+observables with the truncated number-basis evolution at sampled
+lengths; ``decompose`` dumps one point's extractions for either device.
+The CSV is UTF-8 with a header row, LF line endings and shortest
+round-trip decimals, an undefined value an empty cell beside a flag or
+status column, and byte-identical across runs.
 
-* ``sweep-length`` -- sweep the interaction length of the continuous
-  device, emitting one CSV row per grid point with intensities, the
-  signal coherence, both extracted substituting schemes and their
-  residuals.
-* ``sweep-psi`` -- sweep the idler alignment angle of the cascaded
-  device, emitting the coherence and the interferometer-scheme
-  parameters.
-* ``oracle-check`` -- compare the transfer-matrix observables against the
-  truncated number-basis evolution at sampled lengths.
-* ``decompose`` -- single-point extraction dump for either device.
+Each sweep has one column table, :data:`LENGTH_TABLE` or
+:data:`PSI_TABLE`: a column's doc line, the stages of a :class:`_Block`
+it reads, and its cells.  The grid goes through the engine in blocks of
+:data:`BLOCK` points, and a block runs only the stages that its selected
+columns read, each vectorized over the block: the transfer matrices with
+their checks and vacuum moments, the coherence, the four-converter and
+the interferometer extractions, and the which-way geometry.  Only these
+stages import :mod:`~coupledpdc.decompose` and :mod:`~coupledpdc.whichway`.
+Every check records a per-row failure code instead of raising, and the
+status column names the first failed check of each stage that tags a
+row.  Each row is bit-identical to the same point computed on its own
+through the single-point functions, which are batches of one.
 
-CSV output is UTF-8, comma-separated, header row, LF line endings, with
-shortest round-trip decimal formatting; undefined values are empty fields
-accompanied by a flag or status column.  Rows come out in grid order and
-the output is byte-identical across repeated runs.
-
-Both sweeps run on one batched engine.  The grid goes through it in
-blocks of :data:`BLOCK` points: one stacked transfer-matrix build with
-its checks, the vacuum moments once per block as ``(N,)`` arrays, and
-from them the coherence, the four-converter extraction and the
-interferometer extraction, each vectorized over the block.  Every check
-records a per-row failure code instead of raising, and a row's status
-names the tag of each stage's first failed check, which the code's class
-in :data:`coupledpdc.errors.ERRORS` carries.  The block size does not
-change any result: each row is bit-identical to the same point computed
-on its own through the single-point functions, which are batches of one.
-
-The output is built as text, a block at a time, by
-:func:`coupledpdc.csvtext.lines`: the selected columns go in as arrays
-with their failure codes, and the status cells are built only for the
-rows where a check failed.  No sweep cell goes through ``repr``.  The
-CLI writes a block's lines before the next block is computed; a library
-sweep splits the same text into a :class:`Rows`, which callers read one
-row (a ``{column: cell}`` dict) at a time.
+A block's selected columns become text in :func:`coupledpdc.csvtext.lines`,
+with no ``repr`` per cell.  The CLI writes a block's text before the next
+block is computed; a library sweep splits the same text into a
+:class:`Rows`, read one ``{column: cell}`` dict at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +39,7 @@ import os
 import sys
 from collections import abc
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -78,7 +69,6 @@ from .errors import (
 # the sweeps import decompose and whichway, and the number-basis commands
 # fock, where they run, so that no command loads a route it does not take
 if TYPE_CHECKING:
-    from .decompose import SchemeStack
     from .fock import FockBasis
 
 
@@ -95,50 +85,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_LEAKAGE = 3
-
-LENGTH_COLUMNS = (
-    "L", "gamma", "gamma_defined", "n_s1", "n_s2", "n_total_signal",
-    "zou_g1", "zou_g2", "zou_g4", "zou_g5", "uv_angle",
-    "ou_g1", "ou_g2", "ou_phis", "ou_phii",
-    "zou_residual", "ou_residual", "status",
-)
-
-PSI_COLUMNS = (
-    "psi", "gamma", "ou_g1", "ou_g2", "ou_phis", "ou_phii",
-    "ou_residual", "status",
-)
-
-COLUMN_DOCS = {
-    "L": "interaction length of the continuous device",
-    "psi": "idler alignment angle of the cascaded device (radians)",
-    "gamma": "mutual signal coherence; real by convention (the imaginary "
-             "unit is factored out); empty when undefined. For sweep-psi "
-             "the sign convention is fixed so that perfect idler alignment "
-             "(psi = pi/2) gives +1; the raw mixer phases of the cascade "
-             "construction produce the opposite sign, a pure phase gauge.",
-    "gamma_defined": "1 when gamma is defined at this row, 0 otherwise",
-    "n_s1": "mean photon number of signal mode 1",
-    "n_s2": "mean photon number of signal mode 2",
-    "n_total_signal": "n_s1 + n_s2",
-    "zou_g1": "direct converter coupling (s1-i1) of the four-converter scheme",
-    "zou_g2": "direct converter coupling (s2-i2) of the four-converter scheme",
-    "zou_g4": "crossed converter coupling (s1-i2) of the four-converter scheme",
-    "zou_g5": "crossed converter coupling (s2-i1) of the four-converter scheme",
-    "uv_angle": "oriented angle between the which-way vectors u = (g1, g4) "
-                "and v = (g5, -g2), in (-pi, pi]",
-    "ou_g1": "first converter coupling of the interferometer scheme; "
-             "|ou_g1| >= |ou_g2|",
-    "ou_g2": "second converter coupling of the interferometer scheme; "
-             "|ou_g2| <= |ou_g1|",
-    "ou_phis": "signal mixer angle of the interferometer scheme, (-pi/2, pi/2]",
-    "ou_phii": "idler mixer angle of the interferometer scheme, (-pi/2, pi/2]",
-    "zou_residual": "largest back-propagated correlation left by the "
-                    "four-converter extraction (0 = exact)",
-    "ou_residual": "largest back-propagated correlation left by the "
-                   "interferometer extraction (0 = exact)",
-    "status": "ok, or semicolon-separated failure tags per extraction; "
-              "failed extractions leave their columns empty",
-}
 
 # canonical parameter sets used throughout the docs and tests; figures 4
 # and 6 plot other columns of the fig2 sweep, so they are aliases of it
@@ -196,68 +142,131 @@ def _fmt(value: float) -> str:
 BLOCK = 512
 
 
-def _scheme_columns(prefix: str, scheme: SchemeStack) -> dict:
-    params = {**scheme.params, "residual": scheme.residual}
-    return {f"{prefix}_{name.replace('_', '')}": (values, scheme.failed)
-            for name, values in params.items()}
+class _Block(SimpleNamespace):
+    """A block of a sweep: the device ``dev`` at the grid values ``x``.
+    Its stages are methods, defined in run order, that add to the block."""
+
+    def device(self):
+        # a failure of the moments is a continuous device's, but a
+        # cascade's coherence's and extraction's
+        cascade = isinstance(self.dev, CascadedDevice)
+        m = (cascaded_stack if cascade else transfer_stack)(self.dev, self.x)
+        self.m, self.ms = m, mom.vacuum_moments(m)
+        failed = stack_failures(m)
+        self.upstream = first_of(failed, self.ms.failed)
+        self.failed = failed if cascade else self.upstream
+
+    def coherence(self):
+        self.coh, self.gamma_failed = mom.coherence_of(self.ms, self.upstream)
+        # a length sweep's status leaves an undefined gamma to gamma_defined
+        undefined = self.gamma_failed == ERRORS.index(UndefinedCoherenceError)
+        self.gamma_status = np.where(undefined, 0, self.gamma_failed)
+
+    def four_converter(self):
+        from . import decompose as dec
+        self.zou = dec.four_converter_stack(self.m, self.ms, self.upstream)
+
+    def interferometer(self):
+        from . import decompose as dec
+        self.ou = dec.interferometer_stack(self.m, self.ms, self.upstream)
+
+    def geometry(self):
+        from . import whichway
+        self.geo, self.geo_failed = whichway.geometry_stack(
+            *(self.zou.params[g] for g in ("g1", "g2", "g4", "g5")))
 
 
-def _length_block(dev: ContinuousDevice, lengths: np.ndarray):
-    """Column values, device failures and (stage, failures) of one block
-    of a length sweep.  Each column is a ``(values, failed)`` pair, its
-    cell empty where ``failed`` is nonzero; a failure of the moments is
-    the device's, and an undefined coherence an empty cell with
-    ``gamma_defined = 0``."""
-    from . import decompose as dec
-    from . import whichway as ww
-    m = transfer_stack(dev, lengths)
-    ms = mom.vacuum_moments(m)
-    device = first_of(stack_failures(m), ms.failed)
-    coh, gamma_failed = mom.coherence_of(ms, device)
-    zou = dec.four_converter_stack(m, ms, device)
-    ou = dec.interferometer_stack(m, ms, device)
-    geo, geo_failed = ww.geometry_stack(*(zou.params[g] for g in
-                                          ("g1", "g2", "g4", "g5")))
-    undefined = gamma_failed == ERRORS.index(UndefinedCoherenceError)
-    columns = {
-        "gamma": (coh.gamma, gamma_failed),
-        "gamma_defined": (gamma_failed == 0, device),
-        "n_s1": (ms.b["s1"], device),
-        "n_s2": (ms.b["s2"], device),
-        "n_total_signal": (ms.b["s1"] + ms.b["s2"], device),
-        "uv_angle": (geo.angle, first_of(zou.failed, geo_failed)),
-        **_scheme_columns("zou", zou), **_scheme_columns("ou", ou),
-    }
-    return columns, device, [("gamma", np.where(undefined, 0, gamma_failed)),
-                             ("zou", zou.failed), ("ou", ou.failed)]
-
-
-def _psi_block(dev: CascadedDevice, psis: np.ndarray):
-    """As :func:`_length_block` for a psi sweep, where a failure of the
-    moments is the coherence's and the extraction's; the gamma column
-    uses the aligned-idler sign convention (see COLUMN_DOCS["gamma"])."""
-    from . import decompose as dec
-    m = cascaded_stack(dev, psis)
-    device = stack_failures(m)
-    ms = mom.vacuum_moments(m)
-    upstream = first_of(device, ms.failed)
-    coh, gamma_failed = mom.coherence_of(ms, upstream)
-    ou = dec.interferometer_stack(m, ms, upstream)
-    columns = {"gamma": (-coh.gamma, gamma_failed),
-               **_scheme_columns("ou", ou)}
-    return columns, device, [("gamma", gamma_failed), ("ou", ou.failed)]
-
-
-def _status(device: np.ndarray, stages):
-    """The rows whose status is not ``ok``, as a mask, and their status
-    cells: the device's tag alone, else the failed stages' joined by
-    ``;``."""
+def _status(device: np.ndarray, **stages: np.ndarray):
+    """The mask of the rows not ``ok`` and their status cells: the device's
+    tag alone, else the failed stages' joined by ``;``."""
     shown = [("device", device)] + [(prefix, np.where(device == 0, codes, 0))
-                                    for prefix, codes in stages]
+                                    for prefix, codes in stages.items()]
     failed = np.any([codes for _, codes in shown], axis=0)
     tags = [[f"{prefix}:{ERRORS[code].tag}" if code else ""
              for code in codes[failed].tolist()] for prefix, codes in shown]
     return failed, [";".join(filter(None, row)) for row in zip(*tags)]
+
+
+def _scheme(name: str, key: str, doc: str):
+    """The row of a ``zou`` or ``ou`` extraction's parameter or residual."""
+    def cells(b):
+        scheme = getattr(b, name)
+        values = scheme.residual if key == "residual" else scheme.params[key]
+        return values, scheme.failed
+    stage = "four_converter" if name == "zou" else "interferometer"
+    return doc, "device " + stage, cells
+
+
+#: A length sweep's columns in output order: each one's doc line, the
+#: stages it reads, and its ``(values, failures)`` pair from a block after
+#: them, a cell empty where its code is nonzero (the status pair is the
+#: mask of the rows not ``ok`` and their cells).
+LENGTH_TABLE = {
+    "L": ("interaction length of the continuous device", "",
+          lambda b: (b.x, None)),
+    "gamma": ("mutual signal coherence; real by convention (the imaginary "
+              "unit is factored out); empty when undefined. For sweep-psi "
+              "the sign convention is fixed so that perfect idler alignment "
+              "(psi = pi/2) gives +1; the raw mixer phases of the cascade "
+              "construction produce the opposite sign, a pure phase gauge.",
+              "device coherence", lambda b: (b.coh.gamma, b.gamma_failed)),
+    "gamma_defined": ("1 when gamma is defined at this row, 0 otherwise",
+                      "device coherence",
+                      lambda b: (b.gamma_failed == 0, b.failed)),
+    "n_s1": ("mean photon number of signal mode 1", "device",
+             lambda b: (b.ms.b["s1"], b.failed)),
+    "n_s2": ("mean photon number of signal mode 2", "device",
+             lambda b: (b.ms.b["s2"], b.failed)),
+    "n_total_signal": ("n_s1 + n_s2", "device",
+                       lambda b: (b.ms.b["s1"] + b.ms.b["s2"], b.failed)),
+    "zou_g1": _scheme("zou", "g1", "direct converter coupling (s1-i1) of "
+                      "the four-converter scheme"),
+    "zou_g2": _scheme("zou", "g2", "direct converter coupling (s2-i2) of "
+                      "the four-converter scheme"),
+    "zou_g4": _scheme("zou", "g4", "crossed converter coupling (s1-i2) of "
+                      "the four-converter scheme"),
+    "zou_g5": _scheme("zou", "g5", "crossed converter coupling (s2-i1) of "
+                      "the four-converter scheme"),
+    "uv_angle": ("oriented angle between the which-way vectors u = (g1, g4) "
+                 "and v = (g5, -g2), in (-pi, pi]",
+                 "device four_converter geometry",
+                 lambda b: (b.geo.angle,
+                            first_of(b.zou.failed, b.geo_failed))),
+    "ou_g1": _scheme("ou", "g1", "first converter coupling of the "
+                     "interferometer scheme; |ou_g1| >= |ou_g2|"),
+    "ou_g2": _scheme("ou", "g2", "second converter coupling of the "
+                     "interferometer scheme; |ou_g2| <= |ou_g1|"),
+    "ou_phis": _scheme("ou", "phi_s", "signal mixer angle of the "
+                       "interferometer scheme, (-pi/2, pi/2]"),
+    "ou_phii": _scheme("ou", "phi_i", "idler mixer angle of the "
+                       "interferometer scheme, (-pi/2, pi/2]"),
+    "zou_residual": _scheme("zou", "residual", "largest back-propagated "
+                            "correlation left by the four-converter "
+                            "extraction (0 = exact)"),
+    "ou_residual": _scheme("ou", "residual", "largest back-propagated "
+                           "correlation left by the interferometer "
+                           "extraction (0 = exact)"),
+    "status": ("ok, or semicolon-separated failure tags per extraction; "
+               "failed extractions leave their columns empty",
+               "device coherence four_converter interferometer",
+               lambda b: _status(b.failed, gamma=b.gamma_status,
+                                 zou=b.zou.failed, ou=b.ou.failed)),
+}
+
+#: As :data:`LENGTH_TABLE` for a psi sweep, whose gamma takes the
+#: aligned-idler sign convention (see its doc line)
+PSI_TABLE = {
+    "psi": ("idler alignment angle of the cascaded device (radians)", "",
+            lambda b: (b.x, None)),
+    "gamma": (LENGTH_TABLE["gamma"][0], "device coherence",
+              lambda b: (-b.coh.gamma, b.gamma_failed)),
+    **{c: LENGTH_TABLE[c] for c in ("ou_g1", "ou_g2", "ou_phis", "ou_phii",
+                                    "ou_residual")},
+    "status": (LENGTH_TABLE["status"][0], "device coherence interferometer",
+               lambda b: _status(b.failed, gamma=b.gamma_failed,
+                                 ou=b.ou.failed)),
+}
+LENGTH_COLUMNS, PSI_COLUMNS = tuple(LENGTH_TABLE), tuple(PSI_TABLE)
 
 
 class Rows(abc.Sequence):
@@ -281,51 +290,47 @@ class Rows(abc.Sequence):
         return {c: self.cells[c][index] for c in self.columns}
 
 
-def _sweep_blocks(cfg: SweepConfig, columns: Sequence[str], block,
-                  names: Sequence[str]):
-    """Each block's CSV lines of the ``names`` columns, in grid order.
-
-    The grid goes through ``block`` :data:`BLOCK` points at a time.  No
-    point aborts the sweep: a failure leaves the affected columns empty
-    and the status column carries a tag (``device:`` when the transfer
-    matrix or its occupations already fail).  A block is dropped before
-    the next one is computed, so a consumer that drops its text holds one.
-    """
+def _sweep_blocks(cfg: SweepConfig, table: dict, names: Sequence[str]):
+    """Each block's CSV lines of the ``names`` columns, in grid order.  No
+    point aborts the sweep: a failure leaves the affected columns empty and
+    the status column carries a tag (``device:`` when the transfer matrix
+    or its occupations already fail).  A block is dropped before the next
+    one is computed, so a consumer that drops its text holds one."""
     from . import csvtext
+    wanted = {stage for c in names for stage in table[c][1].split()}
+    stages = [stage for stage in vars(_Block) if stage in wanted]
     grid = cfg.grid()
     for start in range(0, len(grid), BLOCK):
-        values = grid[start:start + BLOCK]
+        b = _Block(dev=cfg.device, x=grid[start:start + BLOCK])
         # overflow far above threshold is caught and tagged, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cells, device, stages = block(cfg.device, values)
-        cells[columns[0]] = (values, None)
-        status = _status(device, stages) if "status" in names else None
-        yield csvtext.lines([cells[c] for c in names if c != "status"],
-                            status)
-        del cells, device, stages
+            for stage in stages:
+                getattr(b, stage)()
+            cells = [table[c][2](b) for c in names]
+        del b  # the stages' results, before the text is built
+        status = cells.pop() if names[-1] == "status" else None
+        yield csvtext.lines(cells, status)
+        del cells, status
 
 
-def _sweep_rows(cfg: SweepConfig, columns: Sequence[str], block) -> Rows:
+def _sweep_rows(cfg: SweepConfig, table: dict) -> Rows:
     """The cells of every grid point (see :func:`_sweep_blocks`)."""
-    rows = Rows(columns, {c: [] for c in columns})
-    for text in _sweep_blocks(cfg, columns, block, columns):
-        for c, cells in zip(columns, zip(*(line.split(",") for line in
-                                           text.splitlines()))):
+    rows = Rows(table, {c: [] for c in table})
+    for text in _sweep_blocks(cfg, table, rows.columns):
+        for c, cells in zip(rows.columns, zip(*(line.split(",") for line in
+                                                text.splitlines()))):
             rows.cells[c].extend(cells)
     return rows
 
 
 def sweep_length_rows(cfg: SweepConfig) -> Rows:
-    """Evaluate a length sweep of the continuous device (see
-    :func:`_sweep_rows`)."""
-    return _sweep_rows(cfg, LENGTH_COLUMNS, _length_block)
+    """The rows of a length sweep of the continuous device."""
+    return _sweep_rows(cfg, LENGTH_TABLE)
 
 
 def sweep_psi_rows(cfg: SweepConfig) -> Rows:
-    """Evaluate an alignment-angle sweep of the cascaded device (see
-    :func:`_sweep_rows`); the raw coherence of the cascade construction
-    is negated so that full alignment reports +1."""
-    return _sweep_rows(cfg, PSI_COLUMNS, _psi_block)
+    """The rows of an alignment-angle sweep of the cascaded device."""
+    return _sweep_rows(cfg, PSI_TABLE)
 
 
 def _write(fh, texts: abc.Iterable[str]) -> None:
@@ -350,11 +355,6 @@ def render_csv(rows: Rows, selected: Optional[Sequence[str]] = None) -> str:
     names = [c for c in rows.columns if selected is None or c in selected]
     return "".join([",".join(row) + "\n" for row in
                     [names, *zip(*(rows.cells[c] for c in names))]])
-
-
-def _describe(columns: Sequence[str]) -> str:
-    width = max(len(c) for c in columns)
-    return "\n".join(f"{c.ljust(width)}  {COLUMN_DOCS[c]}" for c in columns) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +441,11 @@ def _fill_preset(args, wanted_kind: str, needs=()) -> Optional[dict]:
 
 
 def _cmd_sweep(args, kind: str) -> int:
-    columns = LENGTH_COLUMNS if kind == "length" else PSI_COLUMNS
+    table = LENGTH_TABLE if kind == "length" else PSI_TABLE
     if args.describe_columns:
-        sys.stdout.write(_describe(columns))
+        width = max(map(len, table))
+        sys.stdout.writelines(f"{c.ljust(width)}  {doc}\n"
+                              for c, (doc, _, _) in table.items())
         return EXIT_OK
     merged = _fill_preset(args, kind, _SWEEP_NEEDS[kind])
     if merged is None:
@@ -455,7 +457,7 @@ def _cmd_sweep(args, kind: str) -> int:
             dev = CascadedDevice(merged["r1"], merged["r2"], 0.0)
             merged.setdefault("start", 0.0)
             merged.setdefault("stop", math.pi / 2)
-        selected = _parse_columns(args, columns)
+        names = _parse_columns(args, table)
         cfg = SweepConfig(kind=kind, device=dev,
                           start=merged["start"], stop=merged["stop"],
                           steps=int(merged["steps"]))
@@ -470,9 +472,7 @@ def _cmd_sweep(args, kind: str) -> int:
         print(f"cannot write --out {args.out}: {exc.strerror}",
               file=sys.stderr)
         return EXIT_USAGE
-    names = [c for c in columns if selected is None or c in selected]
-    lines = _sweep_blocks(cfg, columns, _length_block if kind == "length"
-                          else _psi_block, names)
+    lines = _sweep_blocks(cfg, table, names)
     with out as fh:
         # the header goes with the first block: one write for one block
         _write(fh, [",".join(names) + "\n" + next(lines)])
@@ -480,16 +480,16 @@ def _cmd_sweep(args, kind: str) -> int:
     return EXIT_OK
 
 
-def _parse_columns(args, known: Sequence[str]) -> Optional[Sequence[str]]:
+def _parse_columns(args, table: dict) -> List[str]:
     if args.columns is None:
-        return None
+        return list(table)
     wanted = [c.strip() for c in args.columns.split(",") if c.strip()]
-    unknown = sorted(set(wanted) - set(known))
+    unknown = sorted(set(wanted) - set(table))
     if not wanted:
         raise ValueError("--columns names no column")
     if unknown:
         raise ValueError(f"unknown columns: {', '.join(unknown)}")
-    return wanted
+    return [c for c in table if c in wanted]
 
 
 @dataclass(frozen=True)

@@ -482,7 +482,13 @@ def test_cli_runs_import_neither_scipy_linalg_nor_scipy_sparse(child_env):
     (["decompose", "--gamma1", "0.1", "--gamma2", "0.3", "--kappa", "3",
       "--length", "1"], {"fock"}),
     (["-h"], {"fock"}),
-], ids=["sweep-length", "sweep-psi", "oracle-check", "decompose", "help"])
+    # a selection loads only the stages its columns read
+    (["sweep-length", "--preset", "fig2", "--columns", "L,gamma"],
+     {"fock", "decompose", "whichway"}),
+    (["sweep-psi", "--preset", "fig7", "--columns", "psi,gamma"],
+     {"fock", "decompose", "whichway"}),
+], ids=["sweep-length", "sweep-psi", "oracle-check", "decompose", "help",
+        "sweep-length-coherence", "sweep-psi-coherence"])
 def test_each_command_imports_only_the_modules_it_runs(argv, absent,
                                                        child_env):
     # a sweep never loads the number-basis oracle, whose import loads

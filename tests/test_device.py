@@ -17,6 +17,7 @@ from coupledpdc.device import (
     classify_regime,
     transfer_matrix,
 )
+from coupledpdc.errors import SymplecticDriftError
 from coupledpdc.moments import intensities
 
 from oracles import (
@@ -279,6 +280,41 @@ def test_transfer_matrix_rejects_non_symplectic():
         TransferMatrix(np.diag([2.0, 1.0, 1.0, 1.0]).astype(complex))
     with pytest.raises(ValueError, match="4x4"):
         TransferMatrix(np.eye(3, dtype=complex))
+
+
+#: ``TOL.symplectic`` and ``TOL.threshold_equality`` as configured: the
+#: edge tests below put a computed value at half and at twice each one
+SYMPLECTIC_ALLOWANCE = 1e-10
+THRESHOLD_BAND = 1e-12
+
+
+def test_symplectic_allowance_at_its_edge():
+    # diag(1 + d, 1, 1, 1) leaves 2d + d^2 in M eta M^H - eta, against an
+    # allowance of TOL.symplectic (1 + d)^2; d = k/2 of the allowance puts
+    # the residual at about k allowances
+    for k, passes in ((0.5, True), (2.0, False)):
+        d = k * SYMPLECTIC_ALLOWANCE / 2
+        m = np.diag([1.0 + d, 1.0, 1.0, 1.0]).astype(complex)
+        residual = np.abs(m @ ETA @ m.conj().T - ETA).max()
+        assert residual == pytest.approx(k * SYMPLECTIC_ALLOWANCE, rel=1e-3)
+        if passes:
+            TransferMatrix(m)
+        else:
+            with pytest.raises(SymplecticDriftError):
+                TransferMatrix(m)
+
+
+def test_threshold_band_at_its_edge():
+    # |kappa| within the band of |gamma1| + |gamma2| = 0.75 (exact in
+    # binary) reads at threshold, twice the band off reads either side
+    for offset, regime in ((0.5, Regime.AT_THRESHOLD),
+                           (-0.5, Regime.AT_THRESHOLD),
+                           (2.0, Regime.BELOW_THRESHOLD),
+                           (-2.0, Regime.ABOVE_THRESHOLD)):
+        kappa = 0.75 + offset * THRESHOLD_BAND
+        for dev in (ContinuousDevice(0.25, 0.5, kappa, 1.0),
+                    ContinuousDevice(-0.5, 0.25, -kappa, 1.0)):
+            assert classify_regime(dev) is regime, (offset, dev)
 
 
 def test_transfer_matrix_is_immutable():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coupledpdc.cli as cli
-from coupledpdc import decompose, moments
+from coupledpdc import decompose, moments, whichway
 from coupledpdc.cli import (
     BLOCK,
     LENGTH_COLUMNS,
@@ -210,9 +210,13 @@ def test_per_tag_counts_of_a_sweep_are_bincounts_of_its_codes(capsys):
     totals: dict = {}
     ok = 0
     for start in range(0, len(grid), BLOCK):
+        b = cli._Block(dev=ABOVE, x=grid[start:start + BLOCK])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, device, stages = cli._length_block(ABOVE,
-                                                  grid[start:start + BLOCK])
+            # the stages the status column reads, in the order they run
+            for stage in cli.LENGTH_TABLE["status"][1].split():
+                getattr(b, stage)()
+        device, stages = b.failed, [("gamma", b.gamma_status),
+                                    ("zou", b.zou.failed), ("ou", b.ou.failed)]
         shown = [("device", device)] + [
             (prefix, np.where(device == 0, codes, 0))
             for prefix, codes in stages]
@@ -389,5 +393,40 @@ def test_a_selected_column_is_the_full_csvs_column(subset):
     full = _full_columns(argv)
     got = _columns_of_main(argv + ("--columns", ",".join(selected)))
     assert list(got) == [c for c in full if c in selected]
+    for column in selected:
+        assert got[column] == full[column], column
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stage ran that no selected column reads")
+
+
+_FOUR_CONVERTER = [(decompose, "four_converter_stack")]
+_INTERFEROMETER = [(decompose, "interferometer_stack")]
+_GEOMETRY = [(whichway, "geometry_stack")]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (SUBSET_SWEEPS[0] + ("--columns", "L,gamma,gamma_defined,n_s1,n_s2,"
+                                      "n_total_signal"),
+     _FOUR_CONVERTER + _INTERFEROMETER + _GEOMETRY),
+    (SUBSET_SWEEPS[1] + ("--columns", "psi,gamma"),
+     _FOUR_CONVERTER + _INTERFEROMETER + _GEOMETRY),
+    (SUBSET_SWEEPS[0] + ("--columns", "L,zou_g1,uv_angle,zou_residual"),
+     _INTERFEROMETER),
+    (SUBSET_SWEEPS[0] + ("--columns", "L,ou_g1,ou_residual"),
+     _FOUR_CONVERTER + _GEOMETRY),
+], ids=["fig2-coherence", "fig7-coherence", "fig2-four-converter",
+        "fig2-interferometer"])
+def test_a_selection_runs_only_the_stages_its_columns_read(argv, refused,
+                                                           monkeypatch):
+    # the stages no selected column reads are patched to raise, as the
+    # LAPACK guard patches numpy.linalg; the cells stay the full CSV's
+    full = _full_columns(argv[:-2])
+    for module, name in refused:
+        monkeypatch.setattr(module, name, _refuse)
+    got = _columns_of_main(argv)
+    selected = argv[-1].split(",")
+    assert list(got) == selected
     for column in selected:
         assert got[column] == full[column], column

@@ -10,6 +10,7 @@ from coupledpdc.device import (
     TransferMatrix,
     transfer_matrix,
 )
+from coupledpdc.decompose import direct_stage
 from coupledpdc.errors import UndefinedCoherenceError
 from coupledpdc.moments import intensities, signal_coherence, vacuum_moments
 
@@ -83,6 +84,20 @@ def test_coherence_fragile_flag():
     tm = transfer_matrix(ContinuousDevice(1e-4, 1e-4, 3.0, 0.01))
     coh = signal_coherence(tm)
     assert coh.fragile
+
+
+def test_coherence_fragile_bound_at_its_edge():
+    # a forward direct stage: independent converters whose signal
+    # occupations are sinh^2 g; the smaller sits at half and at twice
+    # TOL.coherence_fragile as configured (1e-8), the other at 0.01
+    bound = 1e-8
+    for k, fragile in ((0.5, True), (2.0, False)):
+        g = math.asinh(math.sqrt(k * bound))
+        tm = TransferMatrix(direct_stage(-g, -0.1))
+        inten = intensities(tm)
+        assert inten.s1 == pytest.approx(k * bound, rel=1e-6)
+        assert inten.s2 == pytest.approx(math.sinh(0.1) ** 2)
+        assert signal_coherence(tm).fragile is fragile
 
 
 def test_coherence_time_unit_rescaling_invariance():
